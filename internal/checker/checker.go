@@ -117,11 +117,40 @@ type Checker struct {
 	initOnce sync.Once
 	initial  *osspec.OsState
 
-	// scratch pools per-trace dedup sets: one set serves a whole trace
-	// (reset per step) instead of allocating a bucket map per reduce and
-	// per τ-closure — the dominant per-step allocation once the cons
-	// table absorbs the transition work.
+	// scratch pools per-trace working storage (see traceScratch): one
+	// dedup set and two state buffers serve a whole trace instead of
+	// allocating per reduce, per τ-closure and per transition union —
+	// the dominant per-step allocations once the cons table absorbs the
+	// transition work.
 	scratch sync.Pool
+}
+
+// traceScratch is one trace's reusable working storage. Its buffers never
+// back the trace's current state set: closure holds each step's
+// τ-closure (dead once the step's union is computed), and spare receives
+// the next transition union, trading places with the state set it
+// replaces.
+type traceScratch struct {
+	set     *osspec.StateSet
+	closure []*osspec.OsState
+	spare   []*osspec.OsState
+	stats   osspec.ClosureStats
+}
+
+func (c *Checker) getScratch() *traceScratch {
+	if sc, ok := c.scratch.Get().(*traceScratch); ok {
+		return sc
+	}
+	return &traceScratch{set: osspec.NewStateSet(64)}
+}
+
+// putScratch drops every state reference the scratch holds (a pooled
+// scratch must not pin a finished trace's states) and pools it.
+func (c *Checker) putScratch(sc *traceScratch) {
+	sc.set.Reset()
+	clear(sc.closure[:cap(sc.closure)])
+	clear(sc.spare[:cap(sc.spare)])
+	c.scratch.Put(sc)
 }
 
 // New returns a checker for the given spec variant.
@@ -172,20 +201,35 @@ func (c *Checker) Check(t *trace.Trace) Result {
 // step's worker fan-out. On cancellation the partial Result (inspected so
 // far, verdict meaningless) is returned with ctx.Err().
 func (c *Checker) CheckCtx(ctx context.Context, t *trace.Trace) (Result, error) {
+	return c.check(ctx, t, nil)
+}
+
+// CheckRendered is CheckCtx that also returns the rendered checked trace —
+// exactly RenderChecked(t, res) — built from the label texts the check
+// already rendered for its memo keys, so no label is rendered twice. The
+// rendering is not counted in checker.check_ns. On cancellation the text
+// is empty.
+func (c *Checker) CheckRendered(ctx context.Context, t *trace.Trace) (Result, string, error) {
+	texts := make([]string, len(t.Steps))
+	res, err := c.check(ctx, t, texts)
+	if err != nil {
+		return res, "", err
+	}
+	return res, renderChecked(t, res, texts), nil
+}
+
+// check is CheckCtx; a non-nil texts (len(t.Steps)) receives each step's
+// label rendering.
+func (c *Checker) check(ctx context.Context, t *trace.Trace, texts []string) (Result, error) {
 	start := time.Now()
+	memo := c.memo()
 	res := Result{Name: t.Name, Accepted: true}
 	states := []*osspec.OsState{c.initialState()}
 	workers := c.workers() // hoisted: GOMAXPROCS reads showed up per step
-	sc, _ := c.scratch.Get().(*osspec.StateSet)
-	if sc == nil {
-		sc = osspec.NewStateSet(64)
-	}
-	defer func() {
-		sc.Reset() // drop state references before pooling
-		c.scratch.Put(sc)
-	}()
+	sc := c.getScratch()
+	defer c.putScratch(sc)
 
-	for _, st := range t.Steps {
+	for i, st := range t.Steps {
 		if err := ctx.Err(); err != nil {
 			return res, err
 		}
@@ -194,9 +238,18 @@ func (c *Checker) CheckCtx(ctx context.Context, t *trace.Trace) (Result, error) 
 		if len(states) > res.MaxStates {
 			res.MaxStates = len(states)
 		}
+		// One rendering per label serves the memo key and the checked
+		// trace (the key is a kind tag plus the label's text).
+		var key string
+		if memo != nil || texts != nil {
+			key = osspec.LabelKey(st.Label)
+			if texts != nil {
+				texts[i] = osspec.LabelText(st.Label, key)
+			}
+		}
 		switch lbl := st.Label.(type) {
 		case types.ReturnLabel:
-			states = c.stepReturn(ctx, states, lbl, st, &res, sc, workers)
+			states = c.stepReturn(ctx, states, lbl, key, st, &res, sc, workers)
 		default:
 			src := states
 			_, isDestroy := st.Label.(types.DestroyLabel)
@@ -224,8 +277,9 @@ func (c *Checker) CheckCtx(ctx context.Context, t *trace.Trace) (Result, error) 
 			if isCrash {
 				res.CrashPoints++
 			}
-			next := c.unionTrans(src, st.Label, workers)
+			next := c.unionTrans(sc.spare[:0], src, st.Label, key, workers)
 			if len(next) == 0 {
+				sc.spare = next
 				res.Accepted = false
 				res.Errors = append(res.Errors, StepError{
 					Line:     st.Line,
@@ -235,7 +289,8 @@ func (c *Checker) CheckCtx(ctx context.Context, t *trace.Trace) (Result, error) 
 				// Recovery: drop the label entirely.
 				continue
 			}
-			states = c.reduce(next, &res, sc)
+			sc.spare = states[:0]
+			states = c.reduce(next, &res, sc.set)
 		}
 	}
 	if len(states) == 0 {
@@ -280,16 +335,18 @@ func (c *Checker) record(res Result, elapsed time.Duration) {
 // mid-call and the closure is a single expansion round; for concurrent
 // traces this closure is where the §3 state-set strategy does its real
 // work, and where MaxStates peaks.
-func (c *Checker) stepReturn(ctx context.Context, states []*osspec.OsState, lbl types.ReturnLabel, st trace.Step, res *Result, sc *osspec.StateSet, workers int) []*osspec.OsState {
+func (c *Checker) stepReturn(ctx context.Context, states []*osspec.OsState, lbl types.ReturnLabel, key string, st trace.Step, res *Result, sc *traceScratch, workers int) []*osspec.OsState {
 	expanded := c.tauClosure(ctx, states, res, sc, workers)
 	if len(expanded) > res.MaxStates {
 		res.MaxStates = len(expanded)
 	}
 
-	next := c.unionTrans(expanded, lbl, workers)
+	next := c.unionTrans(sc.spare[:0], expanded, st.Label, key, workers)
 	if len(next) > 0 {
-		return c.reduce(next, res, sc)
+		sc.spare = states[:0]
+		return c.reduce(next, res, sc.set)
 	}
+	sc.spare = next
 
 	// Non-conformant: diagnose and continue with the allowed values (Fig 4).
 	allowed := allowedSet(expanded, lbl.Pid)
@@ -308,7 +365,7 @@ func (c *Checker) stepReturn(ctx context.Context, states []*osspec.OsState, lbl 
 			recovered = append(recovered, osspec.ResetToRunning(s, lbl.Pid))
 		}
 	}
-	return c.reduce(recovered, res, sc)
+	return c.reduce(recovered, res, sc.set)
 }
 
 // tauClosure closes the state set over internal transitions (see
@@ -317,18 +374,21 @@ func (c *Checker) stepReturn(ctx context.Context, states []*osspec.OsState, lbl 
 // cancelled ctx cuts the closure short; CheckCtx notices at the next step
 // boundary and abandons the trace, so the truncated set is never used for
 // a verdict.
-func (c *Checker) tauClosure(ctx context.Context, states []*osspec.OsState, res *Result, sc *osspec.StateSet, workers int) []*osspec.OsState {
+func (c *Checker) tauClosure(ctx context.Context, states []*osspec.OsState, res *Result, sc *traceScratch, workers int) []*osspec.OsState {
 	t0 := time.Now()
-	var cs osspec.ClosureStats
+	cs := &sc.stats // lives in the pooled scratch: a local would escape
+	*cs = osspec.ClosureStats{}
 	out, n, capHit := osspec.TauClosureWith(states, osspec.ClosureOpts{
 		Dedup:   !c.DisableDedup,
 		Cap:     c.MaxStateSet,
 		Workers: workers,
 		Ctx:     ctx,
-		Stats:   &cs,
+		Stats:   cs,
 		Memo:    c.memo(),
-		Scratch: sc,
+		Scratch: sc.set,
+		Out:     sc.closure,
 	})
+	sc.closure = out[:0] // keep any growth for the next step
 	res.TauExpansions += n
 	res.TauRounds += cs.Rounds
 	res.TauParallelRounds += cs.ParallelRounds
@@ -339,35 +399,45 @@ func (c *Checker) tauClosure(ctx context.Context, states []*osspec.OsState, res 
 	return out
 }
 
-// unionTrans applies one label to every tracked state, fanning the
-// per-state work across the worker pool (osspec.MapStates). Successors are
-// concatenated in source order, so the result — and every later dedup
-// decision — is byte-identical to the sequential computation. All source
-// states are frozen (Check/reduce/tauClosure guarantee it), which makes
-// the shared reads race-free. With a cons table the per-state fan-out is
-// interned suite-wide and replayed for equal (state, label) pairs.
-func (c *Checker) unionTrans(states []*osspec.OsState, lbl types.Label, workers int) []*osspec.OsState {
-	prehash := !c.DisableDedup
-	memo := c.memo()
-	var key string
-	if memo != nil {
-		key = osspec.LabelKey(lbl)
+// unionTrans applies one label to every tracked state and appends the
+// successors to dst, fanning the per-state work across the worker pool
+// (osspec.MapStates). Successors are concatenated in source order, so the
+// result — and every later dedup decision — is byte-identical to the
+// sequential computation. All source states are frozen
+// (Check/reduce/tauClosure guarantee it), which makes the shared reads
+// race-free. With a cons table the per-state fan-out is interned
+// suite-wide and replayed for equal (state, label) pairs; key is lbl's
+// osspec.LabelKey whenever the memo is on.
+func (c *Checker) unionTrans(dst, states []*osspec.OsState, lbl types.Label, key string, workers int) []*osspec.OsState {
+	if workers <= 1 {
+		// The pipeline's default: no fan-out, so no closure either.
+		for _, s := range states {
+			dst = append(dst, c.trans(s, lbl, key)...)
+		}
+		return dst
 	}
-	return osspec.UnionStates(states, workers, func(s *osspec.OsState) []*osspec.OsState {
-		if memo != nil {
-			if succs, ok := memo.Get(s, key); ok {
-				return succs
-			}
-			return memo.Put(s, key, osspec.Trans(s, lbl)) // hashes and freezes
-		}
-		succs := osspec.Trans(s, lbl)
-		if prehash {
-			for _, ns := range succs {
-				ns.Hash()
-			}
-		}
-		return succs
+	return osspec.UnionStates(dst, states, workers, func(s *osspec.OsState) []*osspec.OsState {
+		return c.trans(s, lbl, key)
 	})
+}
+
+// trans is one state's fan-out under lbl: replayed from (or interned
+// into) the cons table when memoising, pre-hashed for dedup otherwise.
+// The returned slice must not be mutated.
+func (c *Checker) trans(s *osspec.OsState, lbl types.Label, key string) []*osspec.OsState {
+	if memo := c.memo(); memo != nil {
+		if succs, ok := memo.Get(s, key); ok {
+			return succs
+		}
+		return memo.Put(s, key, osspec.Trans(s, lbl)) // hashes and freezes
+	}
+	succs := osspec.Trans(s, lbl)
+	if !c.DisableDedup {
+		for _, ns := range succs {
+			ns.Hash()
+		}
+	}
+	return succs
 }
 
 func allowedSet(states []*osspec.OsState, pid types.Pid) []string {

@@ -2,8 +2,8 @@ package checker
 
 import (
 	"context"
-	"fmt"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -57,6 +57,12 @@ feed:
 // RenderChecked interleaves the original trace with the checker's
 // diagnostics, producing a checked trace in the style of Fig 4.
 func RenderChecked(t *trace.Trace, r Result) string {
+	return renderChecked(t, r, nil)
+}
+
+// renderChecked is RenderChecked; a non-nil texts holds each step's label
+// already rendered (texts[i] == t.Steps[i].Label.String()).
+func renderChecked(t *trace.Trace, r Result, texts []string) string {
 	var byLine map[int][]StepError // nil on the common accepted path
 	if len(r.Errors) > 0 {
 		byLine = make(map[int][]StepError)
@@ -65,14 +71,25 @@ func RenderChecked(t *trace.Trace, r Result) string {
 		}
 	}
 	var b strings.Builder
+	if texts != nil {
+		n := len("@type checked_trace\n# Test \n# Trace accepted.\n") + len(t.Name)
+		for _, text := range texts {
+			n += len(text) + 1
+		}
+		b.Grow(n)
+	}
 	b.WriteString("@type checked_trace\n")
 	if t.Name != "" {
 		b.WriteString("# Test ")
 		b.WriteString(t.Name)
 		b.WriteByte('\n')
 	}
-	for _, st := range t.Steps {
-		b.WriteString(st.Label.String())
+	for i, st := range t.Steps {
+		if texts != nil {
+			b.WriteString(texts[i])
+		} else {
+			b.WriteString(st.Label.String())
+		}
 		b.WriteByte('\n')
 		for _, e := range byLine[st.Line] {
 			b.WriteString(e.Message())
@@ -81,7 +98,9 @@ func RenderChecked(t *trace.Trace, r Result) string {
 	if r.Accepted {
 		b.WriteString("# Trace accepted.\n")
 	} else {
-		fmt.Fprintf(&b, "# Trace NOT accepted: %d error(s).\n", len(r.Errors))
+		b.WriteString("# Trace NOT accepted: ")
+		b.WriteString(strconv.Itoa(len(r.Errors)))
+		b.WriteString(" error(s).\n")
 	}
 	return b.String()
 }

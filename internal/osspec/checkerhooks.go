@@ -68,6 +68,11 @@ type ClosureOpts struct {
 	// reuse it before abandoning the returned states of earlier calls'
 	// in-progress use. Ignored without Dedup.
 	Scratch *StateSet
+	// Out, when non-nil, lends its storage to the result: the closure
+	// appends to Out[:0] instead of allocating. It must not share storage
+	// with the input states, and the caller must be done with any earlier
+	// result built in it.
+	Out []*OsState
 }
 
 // ClosureStats describes how one τ-closure spent its effort.
@@ -107,7 +112,12 @@ func TauClosure(states []*OsState, dedup bool, cap int) (out []*OsState, expansi
 // would leave a cap-saturated set with no advanced states at all.
 // expansions counts the τ-successors generated, before deduplication.
 func TauClosureWith(states []*OsState, o ClosureOpts) (out []*OsState, expansions int, capHit bool) {
-	out = append(make([]*OsState, 0, len(states)), states...)
+	if o.Out != nil {
+		out = o.Out[:0]
+	} else {
+		out = make([]*OsState, 0, 2*len(states))
+	}
+	out = append(out, states...)
 	var set *StateSet
 	if o.Dedup {
 		if o.Scratch != nil {
@@ -130,10 +140,16 @@ func TauClosureWith(states []*OsState, o ClosureOpts) (out []*OsState, expansion
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	for frontier := out; len(frontier) > 0; {
+	dedup, memo := o.Dedup, o.Memo // the parallel fan-out captures these, not o
+	// Each round's frontier is the tail of out the previous round added:
+	// successors append straight to out (a frontier slice keeps reading
+	// its own backing array if out grows meanwhile).
+	for start := 0; start < len(out); {
 		if o.Ctx != nil && o.Ctx.Err() != nil {
 			return out, expansions, capHit
 		}
+		frontier := out[start:]
+		start = len(out)
 		if o.Stats != nil {
 			o.Stats.Rounds++
 			if workers > 1 && len(frontier) >= tauParallelMin {
@@ -148,16 +164,15 @@ func TauClosureWith(states []*OsState, o ClosureOpts) (out []*OsState, expansion
 		var groups [][]*OsState
 		if workers > 1 && len(frontier) >= tauParallelMin {
 			groups = MapStates(frontier, workers, func(s *OsState) []*OsState {
-				return expandOne(s, o.Dedup, o.Memo)
+				return expandOne(s, dedup, memo)
 			})
 		}
-		var next []*OsState
 		for i, s := range frontier {
 			var succs []*OsState
 			if groups != nil {
 				succs = groups[i]
 			} else {
-				succs = expandOne(s, o.Dedup, o.Memo)
+				succs = expandOne(s, dedup, memo)
 			}
 			for _, ns := range succs {
 				expansions++
@@ -165,18 +180,16 @@ func TauClosureWith(states []*OsState, o ClosureOpts) (out []*OsState, expansion
 					continue
 				}
 				ns.Freeze()
-				next = append(next, ns)
+				out = append(out, ns)
 			}
 		}
-		out = append(out, next...)
-		frontier = next
 		if o.Cap > 0 && len(out) >= o.Cap {
 			// Only flag a truncation when a further round could actually
 			// have produced states: a frontier with no pending calls left
 			// means the closure is already complete despite the cap.
 			// (Conservative the other way: survivors whose successors
 			// would all have deduplicated away still count as a hit.)
-			for _, s := range next {
+			for _, s := range out[start:] {
 				if hasCallingProc(s) {
 					capHit = true
 					break
@@ -199,23 +212,22 @@ func hasCallingProc(s *OsState) bool {
 	return false
 }
 
-// UnionStates applies fn to every state and concatenates the results in
-// source order — the checker's transition union. The serial case (≤ 1
-// worker, or a set below tauParallelMin) streams straight into the output
-// slice; the parallel case fans out via MapStates and concatenates the
-// ordered result table, so the output is byte-identical either way.
-func UnionStates(states []*OsState, workers int, fn func(*OsState) []*OsState) []*OsState {
-	var next []*OsState
+// UnionStates applies fn to every state and appends the results to dst
+// in source order — the checker's transition union. The serial case (≤ 1
+// worker, or a set below tauParallelMin) streams straight into dst; the
+// parallel case fans out via MapStates and concatenates the ordered
+// result table, so the output is byte-identical either way.
+func UnionStates(dst, states []*OsState, workers int, fn func(*OsState) []*OsState) []*OsState {
 	if workers <= 1 || len(states) < tauParallelMin {
 		for _, s := range states {
-			next = append(next, fn(s)...)
+			dst = append(dst, fn(s)...)
 		}
-		return next
+		return dst
 	}
 	for _, group := range MapStates(states, workers, fn) {
-		next = append(next, group...)
+		dst = append(dst, group...)
 	}
-	return next
+	return dst
 }
 
 // MapStates applies fn to every state, fanning the calls across workers

@@ -1,6 +1,9 @@
 package osspec
 
 import (
+	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/types"
@@ -113,5 +116,144 @@ func TestLabelKeyInjectiveAcrossKinds(t *testing.T) {
 			t.Fatalf("labels %s and %s share key %q", prev, name, k)
 		}
 		keys[k] = name
+	}
+}
+
+// distinctSources returns frozen, hashed states that are distinct
+// objects (the table keys by pointer), enough to cover every shard.
+func distinctSources(n int) []*OsState {
+	base := NewOsState(types.DefaultSpec())
+	base.Hash()
+	base.Freeze()
+	out := make([]*OsState, n)
+	for i := range out {
+		s := base.Clone()
+		s.Hash()
+		s.Freeze()
+		out[i] = s
+	}
+	return out
+}
+
+// TestConsTableShardEpochReset pins that the retention cap is enforced per
+// shard: overfilling one shard resets that shard alone, and entries held
+// by the other shards survive.
+func TestConsTableShardEpochReset(t *testing.T) {
+	const cap = 4 * consShards // 4 states per shard
+	tbl := NewConsTable(cap)
+	srcs := distinctSources(64 * consShards)
+	lbl := types.CallLabel{Pid: InitialPid, Cmd: types.Mkdir{Path: "/a", Perm: 0o755}}
+	key := LabelKey(lbl)
+	succs := Trans(srcs[0], lbl)
+
+	// One entry in every shard, then overfill the shard of srcs[0].
+	byShard := map[*consShard][]*OsState{}
+	for _, s := range srcs {
+		byShard[tbl.shard(s)] = append(byShard[tbl.shard(s)], s)
+	}
+	if len(byShard) != consShards {
+		t.Fatalf("%d sources reached only %d of %d shards", len(srcs), len(byShard), consShards)
+	}
+	hot := tbl.shard(srcs[0])
+	var others []*OsState
+	for sh, ss := range byShard {
+		if sh != hot {
+			tbl.Put(ss[0], key, succs)
+			others = append(others, ss[0])
+		}
+	}
+	for _, s := range byShard[hot] {
+		tbl.Put(s, key, succs)
+	}
+	st := tbl.Stats()
+	if st.Resets == 0 {
+		t.Fatal("overfilling one shard never reset it")
+	}
+	for _, s := range others {
+		if _, ok := tbl.Get(s, key); !ok {
+			t.Fatal("a reset of one shard dropped another shard's entry")
+		}
+	}
+	if st.Retained > cap+len(succs)*consShards {
+		t.Fatalf("retained %d states against cap %d", st.Retained, cap)
+	}
+}
+
+// TestConsTableConcurrentShards hammers Get/Put across every shard from
+// several goroutines, with a cap small enough that shards keep resetting,
+// under the race detector. Every hit must return the slice interned for
+// that very pair, and the counters must account for every Get.
+func TestConsTableConcurrentShards(t *testing.T) {
+	tbl := NewConsTable(2 * consShards)
+	srcs := distinctSources(4 * consShards)
+	lbls := []types.Label{
+		types.CallLabel{Pid: InitialPid, Cmd: types.Mkdir{Path: "/a", Perm: 0o755}},
+		types.CallLabel{Pid: InitialPid, Cmd: types.Mkdir{Path: "/b", Perm: 0o700}},
+		types.CallLabel{Pid: InitialPid, Cmd: types.Rmdir{Path: "/a"}},
+	}
+	// owner records which (source, label) each interned slice belongs
+	// to, via its first successor's identity.
+	var mu sync.Mutex
+	owner := map[*OsState]string{}
+	const workers, rounds = 4, 300
+	var wg sync.WaitGroup
+	var gets atomic.Int64
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				src := srcs[(w*7+i*5)%len(srcs)]
+				lbl := lbls[(w+i)%len(lbls)]
+				key := LabelKey(lbl)
+				pair := fmt.Sprintf("%p|%s", src, key)
+				gets.Add(1)
+				succs, ok := tbl.Get(src, key)
+				if !ok {
+					succs = tbl.Put(src, key, Trans(src, lbl))
+				}
+				if len(succs) == 0 {
+					continue
+				}
+				mu.Lock()
+				if prev, seen := owner[succs[0]]; seen && prev != pair {
+					mu.Unlock()
+					t.Errorf("pair %s was served pair %s's successors", pair, prev)
+					return
+				}
+				owner[succs[0]] = pair
+				mu.Unlock()
+			}
+		}(w)
+	}
+	wg.Wait()
+	st := tbl.Stats()
+	if st.Hits+st.Misses != gets.Load() {
+		t.Fatalf("hits %d + misses %d != %d gets", st.Hits, st.Misses, gets.Load())
+	}
+	if st.Hits == 0 || st.Resets == 0 {
+		t.Fatalf("hits %d, resets %d: the test exercised neither replay nor epoch resets", st.Hits, st.Resets)
+	}
+}
+
+// TestLabelTextIsLabelString pins that the text LabelText slices out of a
+// key is exactly the label's rendering, for every label kind — the
+// checker prints it in checked traces in place of a second String().
+func TestLabelTextIsLabelString(t *testing.T) {
+	for _, lbl := range []types.Label{
+		types.CallLabel{Pid: 3, Cmd: types.Open{Path: "/a b\"c", Flags: types.OCreat | types.ORdwr, Perm: 0o644, HasPerm: true}},
+		types.ReturnLabel{Pid: 1, Ret: types.RvNone{}},
+		types.ReturnLabel{Pid: 2, Ret: types.RvBytes{Data: []byte("x\ny")}},
+		types.TauLabel{},
+		types.CreateLabel{Pid: 2, Uid: 5, Gid: 6},
+		types.DestroyLabel{Pid: 2},
+		types.CrashLabel{Keep: 3},
+	} {
+		if got, want := LabelText(lbl, LabelKey(lbl)), lbl.String(); got != want {
+			t.Errorf("LabelText = %q, want %q", got, want)
+		}
+	}
+	if LabelKey(types.CrashLabel{Keep: 1}) != LabelKey(types.CrashLabel{Keep: 2}) {
+		t.Error("crash keys differ by keep count")
 	}
 }

@@ -207,20 +207,54 @@ func setEqual(a, b map[string]bool) bool {
 // StateSet is a deduplicating set of states keyed by Hash and confirmed by
 // StateEqual — the replacement for fingerprint-string deduplication.
 // Not safe for concurrent use; the checker's merge points are serial.
+//
+// Small sets — every step of a sequential trace holds one or two states —
+// live in an inline slice of up to smallSetMax states, matched by their
+// memoised hash and then StateEqual, so the common case touches no map at
+// all. The set spills into the bucket map only when the slice overflows,
+// and stays there until Reset.
 type StateSet struct {
+	small   []setEntry
 	buckets map[uint64][]*OsState
+	spilled bool // buckets holds the members; small is empty
 	n       int
 }
 
+// setEntry is one inline member and its hash.
+type setEntry struct {
+	h uint64
+	s *OsState
+}
+
+// smallSetMax is the inline capacity before a StateSet spills to its map.
+const smallSetMax = 8
+
 // NewStateSet returns an empty set sized for capacity states.
 func NewStateSet(capacity int) *StateSet {
-	return &StateSet{buckets: make(map[uint64][]*OsState, capacity)}
+	ss := &StateSet{small: make([]setEntry, 0, smallSetMax)}
+	if capacity > smallSetMax {
+		ss.buckets = make(map[uint64][]*OsState, capacity)
+	}
+	return ss
 }
 
 // Add inserts s unless an equal state is already present; it reports
 // whether s was new. Hashing memoises into s (see Hash).
 func (ss *StateSet) Add(s *OsState) bool {
 	h := s.Hash()
+	if !ss.spilled {
+		for _, e := range ss.small {
+			if e.h == h && StateEqual(e.s, s) {
+				return false
+			}
+		}
+		if len(ss.small) < smallSetMax {
+			ss.small = append(ss.small, setEntry{h, s})
+			ss.n++
+			return true
+		}
+		ss.spill()
+	}
 	bucket := ss.buckets[h]
 	for _, t := range bucket {
 		if StateEqual(t, s) {
@@ -232,19 +266,38 @@ func (ss *StateSet) Add(s *OsState) bool {
 	return true
 }
 
+// spill moves the inline members into the bucket map (allocated on the
+// first spill, reused after Reset).
+func (ss *StateSet) spill() {
+	if ss.buckets == nil {
+		ss.buckets = make(map[uint64][]*OsState, 2*smallSetMax)
+	}
+	for _, e := range ss.small {
+		ss.buckets[e.h] = append(ss.buckets[e.h], e.s)
+	}
+	clear(ss.small)
+	ss.small = ss.small[:0]
+	ss.spilled = true
+}
+
 // Len reports the number of distinct states added.
 func (ss *StateSet) Len() int { return ss.n }
 
-// Reset empties the set, keeping its bucket storage for reuse — the
-// checker's per-trace scratch sets are reset once per step instead of
-// reallocated (ROADMAP item 5's arena lever: the bucket map was the
-// dominant per-step allocation on the cold path). An already-empty set
-// returns immediately: clear() sweeps the map's full bucket capacity
-// regardless of population, and defensive double-Resets are common.
+// Reset empties the set, keeping its storage for reuse — the checker's
+// per-trace scratch sets are reset once per step instead of reallocated.
+// Only a set that spilled pays a map clear (clear() sweeps the map's full
+// bucket capacity regardless of population); the inline slice just drops
+// its state references.
 func (ss *StateSet) Reset() {
 	if ss.n == 0 {
 		return
 	}
-	clear(ss.buckets)
+	if ss.spilled {
+		clear(ss.buckets)
+		ss.spilled = false
+	} else {
+		clear(ss.small)
+		ss.small = ss.small[:0]
+	}
 	ss.n = 0
 }

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -19,12 +20,21 @@ import (
 // artifacts (multi-user cache dirs, CI artifact upload), not secrets.
 // The directory fsync persists the rename itself.
 func atomicWriteFile(path, pattern string, data []byte) error {
+	return atomicWrite(path, pattern, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
+}
+
+// atomicWrite is atomicWriteFile with the content produced by write,
+// which writes straight to the temp file (buffering is its business).
+func atomicWrite(path, pattern string, write func(io.Writer) error) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, pattern)
 	if err != nil {
 		return err
 	}
-	if err := writeSyncClose(tmp, data); err != nil {
+	if err := writeSyncClose(tmp, write); err != nil {
 		os.Remove(tmp.Name())
 		return err
 	}
@@ -35,16 +45,15 @@ func atomicWriteFile(path, pattern string, data []byte) error {
 	return syncDir(dir)
 }
 
-func writeSyncClose(f *os.File, data []byte) error {
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
+func writeSyncClose(f *os.File, write func(io.Writer) error) error {
+	err := write(f)
+	if err == nil {
+		err = f.Sync()
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
+	if err == nil {
+		err = f.Chmod(0o644)
 	}
-	if err := f.Chmod(0o644); err != nil {
+	if err != nil {
 		f.Close()
 		return err
 	}

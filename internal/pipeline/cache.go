@@ -110,7 +110,8 @@ func (c *Cache) GetRecord(key string) (Record, bool) {
 // getRecord also returns the record's canonical JSON line — exactly the
 // json.Marshal bytes PutRecord wrote — so the pipeline's warm path can
 // journal a hit without re-marshalling it (Sink.AppendEncoded). Framed
-// entries (codec.go) decode without a JSON parse at all.
+// entries (codec.go) decode without a JSON parse at all; bare-JSON
+// entries are parsed and re-encoded.
 func (c *Cache) getRecord(key string) (Record, []byte, bool) {
 	data, ok := c.get(key)
 	if !ok {
@@ -125,6 +126,13 @@ func (c *Cache) PutRecord(rec Record) error {
 	if err != nil {
 		return err
 	}
+	return c.putRecordLine(rec, line)
+}
+
+// putRecordLine stores rec given its canonical JSON line (exactly
+// json.Marshal(rec)) — the pipeline encodes each fresh record once and
+// hands the same line to the store and the journal.
+func (c *Cache) putRecordLine(rec Record, line []byte) error {
 	if c.framed {
 		return c.put(rec.Key, encodeRecord(rec, line))
 	}

@@ -17,7 +17,8 @@ import (
 // no parser) and journals the embedded canonical JSON verbatim
 // (Sink.AppendEncoded) — neither a JSON parse nor a re-marshal. The JSON
 // is authoritative for every external consumer (journal, Finalize,
-// ReadRecords); the binary part is a pure decode accelerator, and any
+// ReadRecords) and is written as is: it is the json.Marshal(rec) line
+// PutRecord framed. The binary part is a pure decode accelerator, and any
 // damage to it degrades to parsing the embedded JSON, never to a wrong
 // record.
 //
@@ -80,13 +81,9 @@ func appendBytes32(buf, b []byte) []byte {
 // false) — the writer will overwrite it — never an error.
 func decodeRecord(data []byte, key string) (Record, []byte, bool) {
 	if len(data) < len(recMagic) || string(data[:len(recMagic)]) != recMagic {
-		// v1 entry: the value is the JSON line itself.
-		var rec Record
-		if err := json.Unmarshal(data, &rec); err != nil {
-			return Record{}, nil, false
-		}
-		rec.Key = key
-		return rec, data, true
+		// v1 entry: the value is a JSON line, from whatever writer filled
+		// the directory.
+		return parseRecordLine(data, key)
 	}
 	d := decoder{buf: data[len(recMagic):]}
 	line := d.bytes32()
@@ -115,12 +112,23 @@ func decodeRecord(data []byte, key string) (Record, []byte, bool) {
 	if d.failed || len(d.buf) != 0 {
 		// Damaged binary part: the embedded JSON (if intact) is still
 		// authoritative.
-		var rec Record
-		if err := json.Unmarshal(line, &rec); err != nil {
-			return Record{}, nil, false
-		}
-		rec.Key = key
-		return rec, line, true
+		return parseRecordLine(line, key)
+	}
+	return rec, line, true
+}
+
+// parseRecordLine parses a JSON record value stored under key and
+// re-encodes it, so the line handed on is canonical whatever produced
+// the stored bytes (the journal writes it verbatim).
+func parseRecordLine(data []byte, key string) (Record, []byte, bool) {
+	var rec Record
+	if err := json.Unmarshal(data, &rec); err != nil {
+		return Record{}, nil, false
+	}
+	rec.Key = key
+	line, err := json.Marshal(rec)
+	if err != nil {
+		return Record{}, nil, false
 	}
 	return rec, line, true
 }

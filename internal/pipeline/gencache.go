@@ -61,7 +61,9 @@ func EncodeSuite(scripts []*trace.Script) (blob []byte, hashes []string) {
 
 // DecodeSuite parses a suite blob back into scripts and their content
 // hashes. Any structural damage is an error — callers treat it as a cache
-// miss and regenerate.
+// miss and regenerate. The headers are walked in order (each gives the
+// next script's offset); the script texts then parse on every core, and
+// the error reported is the one at the lowest script index.
 func DecodeSuite(blob []byte) (scripts []*trace.Script, hashes []string, err error) {
 	s := string(blob)
 	line, rest, ok := strings.Cut(s, "\n")
@@ -76,36 +78,57 @@ func DecodeSuite(blob []byte) (scripts []*trace.Script, hashes []string, err err
 	if err != nil || n < 0 {
 		return nil, nil, fmt.Errorf("gencache: bad count %q", line)
 	}
-	scripts = make([]*trace.Script, 0, n)
-	hashes = make([]string, 0, n)
+	// Never trust the count for an allocation: each script needs at least
+	// a header line.
+	texts := make([]string, 0, min(n, len(rest)/2))
+	names := make([]string, 0, cap(texts))
+	hashes = make([]string, 0, cap(texts))
+	var headerErr error
 	for i := 0; i < n; i++ {
 		line, rest, ok = strings.Cut(rest, "\n")
 		if !ok {
-			return nil, nil, fmt.Errorf("gencache: truncated header at script %d", i)
+			headerErr = fmt.Errorf("gencache: truncated header at script %d", i)
+			break
 		}
 		hash, tail, ok := strings.Cut(line, " ")
 		if !ok {
-			return nil, nil, fmt.Errorf("gencache: bad header at script %d", i)
+			headerErr = fmt.Errorf("gencache: bad header at script %d", i)
+			break
 		}
 		lenStr, name, ok := strings.Cut(tail, " ")
 		if !ok {
-			return nil, nil, fmt.Errorf("gencache: bad header at script %d", i)
+			headerErr = fmt.Errorf("gencache: bad header at script %d", i)
+			break
 		}
 		textLen, err := strconv.Atoi(lenStr)
 		if err != nil || textLen < 0 || textLen > len(rest) {
-			return nil, nil, fmt.Errorf("gencache: bad length at script %d", i)
+			headerErr = fmt.Errorf("gencache: bad length at script %d", i)
+			break
 		}
-		text := rest[:textLen]
+		texts = append(texts, rest[:textLen])
+		names = append(names, name)
+		hashes = append(hashes, hash)
 		rest = rest[textLen:]
-		sc, err := trace.ParseScript(text)
+	}
+	scripts = make([]*trace.Script, len(texts))
+	var bad lowestError
+	parallelEach(len(texts), func(i int) {
+		sc, err := trace.ParseScript(texts[i])
 		if err != nil {
-			return nil, nil, fmt.Errorf("gencache: script %d: %w", i, err)
+			bad.set(i, fmt.Errorf("gencache: script %d: %w", i, err))
+			return
 		}
 		if sc.Name == "" {
-			sc.Name = name
+			sc.Name = names[i]
 		}
-		scripts = append(scripts, sc)
-		hashes = append(hashes, hash)
+		scripts[i] = sc
+	})
+	// A script that failed to parse precedes the first bad header.
+	if bad.err != nil {
+		return nil, nil, bad.err
+	}
+	if headerErr != nil {
+		return nil, nil, headerErr
 	}
 	return scripts, hashes, nil
 }

@@ -36,11 +36,15 @@ import (
 //
 //   - Group commit. Puts from all pipeline workers coalesce into one
 //     in-memory tail; a single write + fsync covers the whole batch
-//     (pipeline.store_batches / store_fsyncs). Flushes happen on size
-//     (FlushBytes), on interval (FlushInterval, via a background
-//     flusher), and always on Flush/Close — pipeline.Run flushes at
-//     every exit, cancellation included, so the cache is durable
-//     whenever the resume journal is.
+//     (pipeline.store_batches / store_fsyncs). The commit swaps the tail
+//     out and does its I/O without holding the store's mutex, so
+//     workers keep putting (and reading — the batch in flight stays
+//     readable) while the disk works; a separate commit lock orders the
+//     commits. Commits happen on size (FlushBytes, handed to the
+//     background flusher), on interval (FlushInterval), and always on
+//     Flush/Close, which wait for any commit in flight — pipeline.Run
+//     flushes at every exit, cancellation included, so the cache is
+//     durable whenever the resume journal is.
 //
 // Entry layout (all integers big-endian):
 //
@@ -53,6 +57,11 @@ type PackStore struct {
 	dir  string
 	opts PackOptions
 
+	// commitMu orders commits and is held across a batch's write +
+	// fsync; whoever holds it may take mu too (never the other order).
+	// Rotation and Close hold both, so no commit is in flight for them.
+	commitMu sync.Mutex
+
 	mu       sync.RWMutex
 	index    map[string]packLoc
 	files    map[int]*os.File // open segment handles (active one is RDWR)
@@ -61,11 +70,21 @@ type PackStore struct {
 	active      int   // active segment id (0 = none yet)
 	flushedSize int64 // bytes of the active segment already on disk
 	idxCovered  int64 // bytes of the active segment its on-disk sidecar covers
-	pending     []byte
-	closed      bool
+	// inflight is the batch a commit is writing at flushedSize (nil when
+	// none is); pending buffers the Puts after it, so it starts at
+	// flushedSize+len(inflight). spare recycles a committed batch buffer.
+	inflight []byte
+	pending  []byte
+	spare    []byte
+	closed   bool
+	// commitHook, when set (tests only, under mu), runs inside a commit
+	// after the batch is taken and before its write — the window in
+	// which the batch is in flight.
+	commitHook func()
 
 	flushOnce sync.Once
 	flushDone chan struct{}
+	kick      chan struct{} // size trigger: wakes the flusher early
 
 	tel *telemetry.Registry
 }
@@ -136,6 +155,7 @@ func OpenPackStoreWith(dir string, opts PackOptions) (*PackStore, error) {
 		files:     make(map[int]*os.File),
 		segSizes:  make(map[int]int64),
 		flushDone: make(chan struct{}),
+		kick:      make(chan struct{}, 1),
 		tel:       telemetry.Default,
 	}
 	if err := p.load(); err != nil {
@@ -396,11 +416,15 @@ func (p *PackStore) Get(key string) ([]byte, bool) {
 		return nil, false
 	}
 	if loc.seg == p.active && loc.off >= p.flushedSize {
-		// Still pending: copy out under the read lock (flushes and
-		// rotations take the write lock, so the buffer is stable here).
-		start := loc.off - p.flushedSize
+		// In the batch being committed or still pending: copy out under
+		// the read lock (a commit only recycles its batch, and Puts only
+		// grow the tail, under the write lock).
+		start, buf := loc.off-p.flushedSize, p.inflight
+		if start >= int64(len(buf)) {
+			start, buf = start-int64(len(buf)), p.pending
+		}
 		val := make([]byte, loc.vlen)
-		copy(val, p.pending[start:start+int64(loc.vlen)])
+		copy(val, buf[start:start+int64(loc.vlen)])
 		p.mu.RUnlock()
 		return p.verify(key, val, loc.crc)
 	}
@@ -431,25 +455,28 @@ func (p *PackStore) verify(key string, val []byte, crc uint32) ([]byte, bool) {
 
 // Put appends one entry to the active segment's group-commit buffer.
 // The entry is immediately visible to Get; durability arrives with the
-// next batch commit (size, interval, or an explicit Flush).
+// next batch commit (size, interval, or an explicit Flush). Put never
+// waits for a commit's I/O, except to seal a full segment.
 func (p *PackStore) Put(key string, data []byte) error {
 	if len(key) == 0 || len(key) > 0xffff {
 		return fmt.Errorf("pipeline: pack store: bad key length %d", len(key))
 	}
 	entrySize := int64(packHeaderLen + len(key) + len(data))
 	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed {
-		return fmt.Errorf("pipeline: pack store: closed")
-	}
-	if p.active == 0 || p.flushedSize+int64(len(p.pending))+entrySize > p.opts.MaxSegmentBytes {
-		if err := p.rotateLocked(); err != nil {
+	for !p.closed && p.needRotateLocked(entrySize) {
+		p.mu.Unlock()
+		if err := p.rotate(entrySize); err != nil {
 			return err
 		}
+		p.mu.Lock()
+	}
+	if p.closed {
+		p.mu.Unlock()
+		return fmt.Errorf("pipeline: pack store: closed")
 	}
 	sum := crc32.Checksum([]byte(key), packCRC)
 	sum = crc32.Update(sum, packCRC, data)
-	off := p.flushedSize + int64(len(p.pending))
+	off := p.tailLocked()
 	p.pending = binary.BigEndian.AppendUint32(p.pending, sum)
 	p.pending = binary.BigEndian.AppendUint16(p.pending, uint16(len(key)))
 	p.pending = binary.BigEndian.AppendUint32(p.pending, uint32(len(data)))
@@ -461,15 +488,53 @@ func (p *PackStore) Put(key string, data []byte) error {
 		vlen: uint32(len(data)),
 		crc:  sum,
 	}
-	if len(p.pending) >= p.opts.FlushBytes {
-		return p.flushLocked()
+	full := len(p.pending) >= p.opts.FlushBytes
+	p.mu.Unlock()
+	if full {
+		select {
+		case p.kick <- struct{}{}:
+		default: // a wake-up is already queued
+		}
 	}
 	return nil
 }
 
+// tailLocked is the active segment's logical size: committed bytes, the
+// batch in flight and the pending tail.
+func (p *PackStore) tailLocked() int64 {
+	return p.flushedSize + int64(len(p.inflight)) + int64(len(p.pending))
+}
+
+// needRotateLocked reports whether an entry of entrySize bytes needs a
+// fresh segment: there is none yet, or it would overflow MaxSegmentBytes
+// and the active segment already holds an entry (an oversized entry gets
+// a segment of its own rather than rotating forever).
+func (p *PackStore) needRotateLocked(entrySize int64) bool {
+	if p.active == 0 {
+		return true
+	}
+	tail := p.tailLocked()
+	return tail+entrySize > p.opts.MaxSegmentBytes && tail > int64(len(packMagic))
+}
+
+// rotate seals the active segment and opens the next one, unless another
+// Put got there first. It holds the commit lock, so no commit is in
+// flight while the segment changes.
+func (p *PackStore) rotate(entrySize int64) error {
+	p.commitMu.Lock()
+	defer p.commitMu.Unlock()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.closed || !p.needRotateLocked(entrySize) {
+		return nil
+	}
+	return p.rotateLocked()
+}
+
 // rotateLocked seals the active segment (committing its tail and writing
 // its index sidecar) and opens the next one. The very first Put, and any
-// Put that would overflow MaxSegmentBytes, lands here.
+// Put that would overflow MaxSegmentBytes, lands here. Callers hold
+// commitMu and mu.
 func (p *PackStore) rotateLocked() error {
 	next := 1
 	for id := range p.files {
@@ -510,7 +575,8 @@ func (p *PackStore) segLocsLocked(id int) map[string]packLoc {
 	return locs
 }
 
-// flushLocked is the group commit: one write and one fsync cover every
+// flushLocked is the synchronous group commit, for callers that hold
+// commitMu and mu (rotation, Close): one write and one fsync cover every
 // Put buffered since the last commit.
 func (p *PackStore) flushLocked() error {
 	if len(p.pending) == 0 || p.active == 0 {
@@ -523,41 +589,93 @@ func (p *PackStore) flushLocked() error {
 	if err := f.Sync(); err != nil {
 		return err
 	}
-	p.flushedSize += int64(len(p.pending))
-	p.segSizes[p.active] = p.flushedSize
+	p.committedLocked(len(p.pending))
 	p.pending = p.pending[:0]
+	return nil
+}
+
+// committedLocked records that n more bytes of the active segment are on
+// disk.
+func (p *PackStore) committedLocked(n int) {
+	p.flushedSize += int64(n)
+	p.segSizes[p.active] = p.flushedSize
 	p.tel.Counter("pipeline.store_batches").Inc()
 	p.tel.Counter("pipeline.store_fsyncs").Inc()
-	return nil
 }
 
-// Flush commits every buffered Put — the group-commit barrier.
-// pipeline.Run calls it on every exit path (success, failure and
-// cancellation), so the store is durable whenever the journal is. The
-// explicit barrier also refreshes the active segment's index sidecar:
-// sessions are long-lived and may never Close, and without a current
-// sidecar every reopen would pay a scan of the active segment.
-// (Interval and size flushes skip this — once per batch would be far
-// too often for a full index rewrite.)
-func (p *PackStore) Flush() error {
+// commitLocked is the group commit the workers never wait for: it takes
+// the pending tail as the in-flight batch, then writes and fsyncs it with
+// mu released, so Puts keep appending to a fresh tail and Gets keep
+// reading the batch. The caller holds commitMu. A failed write puts the
+// batch back in front of the tail (its offsets are still right), so the
+// next commit retries it.
+func (p *PackStore) commitLocked() error {
 	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed {
+	if p.closed || p.active == 0 || len(p.pending) == 0 {
+		p.mu.Unlock()
 		return nil
 	}
-	if err := p.flushLocked(); err != nil {
+	batch, off, f := p.pending, p.flushedSize, p.files[p.active]
+	p.inflight, p.pending, p.spare = batch, p.spare[:0], nil
+	hook := p.commitHook
+	p.mu.Unlock()
+
+	if hook != nil {
+		hook()
+	}
+	_, err := f.WriteAt(batch, off)
+	if err == nil {
+		err = f.Sync()
+	}
+
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.inflight = nil
+	if err != nil {
+		p.pending = append(batch, p.pending...)
 		return err
 	}
-	if p.active != 0 && p.flushedSize > p.idxCovered {
-		p.writeSidecar(p.active, p.segLocsLocked(p.active), p.flushedSize)
-		p.idxCovered = p.flushedSize
-	}
+	p.committedLocked(len(batch))
+	p.spare = batch[:0]
 	return nil
 }
 
-// flusher is the background interval commit: it bounds how long a Put
+// Flush commits every buffered Put — the group-commit barrier: it waits
+// for a commit in flight, then commits the rest. pipeline.Run calls it
+// on every exit path (success, failure and cancellation), so the store
+// is durable whenever the journal is. The explicit barrier also
+// refreshes the active segment's index sidecar: sessions are long-lived
+// and may never Close, and without a current sidecar every reopen would
+// pay a scan of the active segment. (Interval and size commits skip
+// this — once per batch would be far too often for a full index
+// rewrite.)
+func (p *PackStore) Flush() error {
+	p.commitMu.Lock()
+	defer p.commitMu.Unlock()
+	if err := p.commitLocked(); err != nil {
+		return err
+	}
+	p.mu.RLock()
+	id, size := p.active, p.flushedSize
+	if p.closed || id == 0 || size <= p.idxCovered {
+		p.mu.RUnlock()
+		return nil
+	}
+	locs := p.segLocsLocked(id)
+	p.mu.RUnlock()
+	// No commit can move the segment meanwhile (we hold commitMu); Puts
+	// only add pending entries the snapshot already excludes.
+	p.writeSidecar(id, locs, size)
+	p.mu.Lock()
+	p.idxCovered = size
+	p.mu.Unlock()
+	return nil
+}
+
+// flusher is the background commit: on interval it bounds how long a Put
 // can stay buffered in a process that neither fills FlushBytes nor
-// reaches a Flush barrier (e.g. a run killed without cleanup).
+// reaches a Flush barrier (e.g. a run killed without cleanup), and a
+// kick from Put commits a full buffer without making that Put wait.
 func (p *PackStore) flusher() {
 	t := time.NewTicker(p.opts.FlushInterval)
 	defer t.Stop()
@@ -566,12 +684,11 @@ func (p *PackStore) flusher() {
 		case <-p.flushDone:
 			return
 		case <-t.C:
-			p.mu.Lock()
-			if !p.closed {
-				p.flushLocked() // best-effort; errors surface on Flush/Close
-			}
-			p.mu.Unlock()
+		case <-p.kick:
 		}
+		p.commitMu.Lock()
+		p.commitLocked() // best-effort; errors surface on Flush/Close
+		p.commitMu.Unlock()
 	}
 }
 
@@ -579,6 +696,8 @@ func (p *PackStore) flusher() {
 // open needs no scan), and closes every segment handle.
 func (p *PackStore) Close() error {
 	p.flushOnce.Do(func() { close(p.flushDone) })
+	p.commitMu.Lock()
+	defer p.commitMu.Unlock()
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
@@ -612,7 +731,7 @@ func (p *PackStore) Stats() StoreStats {
 		st.Bytes += size
 	}
 	if p.active != 0 {
-		st.Bytes += p.flushedSize + int64(len(p.pending))
+		st.Bytes += p.tailLocked()
 	}
 	return st
 }

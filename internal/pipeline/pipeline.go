@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -358,6 +359,7 @@ func runJob(ctx context.Context, cfg Config, chk *checker.Checker, tel *telemetr
 	}
 	var t *trace.Trace
 	var res checker.Result
+	var checked string
 	work := func() {
 		execStart := time.Now()
 		if cfg.Concurrent {
@@ -371,7 +373,7 @@ func runJob(ctx context.Context, cfg Config, chk *checker.Checker, tel *telemetr
 		tel.Histogram("pipeline.execute_ns").ObserveSince(execStart)
 		if err == nil {
 			checkStart := time.Now()
-			res, err = chk.CheckCtx(ctx, t)
+			res, checked, err = chk.CheckRendered(ctx, t)
 			tel.Histogram("pipeline.check_ns").ObserveSince(checkStart)
 		}
 	}
@@ -385,10 +387,19 @@ func runJob(ctx context.Context, cfg Config, chk *checker.Checker, tel *telemetr
 	if err != nil {
 		return Record{}, false, false, fmt.Errorf("pipeline: %s: %w", s.Name, err)
 	}
-	rec = NewRecord(key, t, res)
+	rec = NewRecord(key, t, res, checked)
+	if cfg.Cache == nil && cfg.Sink == nil {
+		return rec, false, false, nil
+	}
+	// One encoding serves the store and the journal (and, through the
+	// journal, Finalize).
+	line, err := json.Marshal(rec)
+	if err != nil {
+		return rec, false, false, err
+	}
 	if cfg.Cache != nil {
 		storeStart := time.Now()
-		err := cfg.Cache.PutRecord(rec)
+		err := cfg.Cache.putRecordLine(rec, line)
 		tel.Histogram("pipeline.cache_store_ns").ObserveSince(storeStart)
 		if err != nil {
 			return rec, false, false, err
@@ -396,7 +407,7 @@ func runJob(ctx context.Context, cfg Config, chk *checker.Checker, tel *telemetr
 		tel.Counter("pipeline.cache_stores").Inc()
 	}
 	if cfg.Sink != nil {
-		if err := cfg.Sink.Append(rec); err != nil {
+		if err := cfg.Sink.AppendEncoded(rec, line); err != nil {
 			return rec, false, false, err
 		}
 	}

@@ -41,8 +41,9 @@ type Record struct {
 	Cached bool `json:"-"`
 }
 
-// NewRecord builds the record for one freshly checked trace.
-func NewRecord(key string, t *trace.Trace, r checker.Result) Record {
+// NewRecord builds the record for one freshly checked trace; checked is
+// its rendered checked trace (checker.CheckRendered, or RenderChecked).
+func NewRecord(key string, t *trace.Trace, r checker.Result, checked string) Record {
 	rec := Record{
 		Key:           key,
 		Name:          r.Name,
@@ -52,7 +53,7 @@ func NewRecord(key string, t *trace.Trace, r checker.Result) Record {
 		TauExpansions: r.TauExpansions,
 		SumStates:     r.SumStates,
 		CapHit:        r.StateSetCapHit,
-		Checked:       checker.RenderChecked(t, r),
+		Checked:       checked,
 	}
 	if rec.Name == "" {
 		rec.Name = t.Name

@@ -1,12 +1,15 @@
 package pipeline
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -21,30 +24,49 @@ import (
 // key, letting the next run skip finished work. Append order is completion
 // order and therefore nondeterministic; Finalize rewrites the file in
 // canonical order before the sink is handed to consumers.
+//
+// Every record is JSON-encoded exactly once: the sink keeps each record's
+// canonical line (json.Marshal bytes) beside it, and Finalize writes the
+// sorted lines it already holds instead of re-marshalling the run.
 type Sink struct {
 	mu      sync.Mutex
 	f       *os.File
 	path    string
-	byKey   map[string]Record
-	records []Record
+	byKey   map[string]int // key → index into entries
+	entries []sinkEntry
 	tel     *telemetry.Registry // nil until SetTelemetry; journal I/O metrics
 
-	// buf is the group-commit buffer: appends coalesce here and reach the
-	// file in batches — one write (and one fsync) per batch instead of one
-	// write per record. Flushes happen on size (sinkFlushBytes), on
-	// interval (the background flusher), and always on Close/Finalize, so
-	// every record completed before a cancel is durable in the journal.
-	buf       []byte
+	// chunk is both the group-commit buffer and the arena the kept lines
+	// live in: appends copy their line (and its '\n') here, a batch commit
+	// writes chunk[flushed:] with one write, and a full chunk is committed
+	// and replaced by a fresh one — the entries keep referencing the old
+	// chunk, so nothing is copied twice. Commits happen when a chunk
+	// fills, on interval (the background flusher), and
+	// always on Close/Finalize, so every record completed before a cancel
+	// is durable in the journal.
+	chunk     []byte
+	flushed   int
 	flushDone chan struct{}
 	stopOnce  sync.Once
 }
 
-// sinkFlushBytes forces a batch commit once this much is buffered;
-// sinkFlushInterval bounds how long an append can stay buffered (the
-// exposure window of a hard kill — a cooperative cancel always flushes).
+// sinkEntry is one journaled record with its canonical JSON line (no
+// trailing newline).
+type sinkEntry struct {
+	rec  Record
+	line []byte
+}
+
+// Arena chunks start at sinkFirstChunkBytes and double up to
+// sinkChunkBytes, so a sink that journals a handful of records (one
+// concurrent schedule, a crash universe) never pays for a full chunk; a
+// chunk's size is the batch that forces a commit. sinkFlushInterval
+// bounds how long an append can stay buffered (the exposure window of a
+// hard kill — a cooperative cancel always flushes).
 const (
-	sinkFlushBytes    = 1 << 20
-	sinkFlushInterval = 25 * time.Millisecond
+	sinkFirstChunkBytes = 32 << 10
+	sinkChunkBytes      = 1 << 20
+	sinkFlushInterval   = 25 * time.Millisecond
 )
 
 // SetTelemetry attributes the sink's journal I/O (append counts/bytes/
@@ -61,9 +83,11 @@ func (s *Sink) SetTelemetry(reg *telemetry.Registry) {
 // is recovered (intact lines kept, a torn tail truncated); with resume
 // false any existing file is replaced. Either way, opening sweeps
 // finalize temp files abandoned by a kill mid-Finalize (see sweepOrphans).
+// Recovered lines are re-encoded once here, so Finalize writes canonical
+// bytes whatever formatting the journal held.
 func OpenSink(path string, resume bool) (*Sink, error) {
 	sweepOrphans(filepath.Dir(path), ".jsonl-")
-	s := &Sink{path: path, byKey: make(map[string]Record), flushDone: make(chan struct{})}
+	s := &Sink{path: path, byKey: make(map[string]int), flushDone: make(chan struct{})}
 	if !resume {
 		f, err := os.Create(path)
 		if err != nil {
@@ -88,14 +112,18 @@ func OpenSink(path string, resume bool) (*Sink, error) {
 		if nl < 0 {
 			break // torn tail: no terminating newline
 		}
-		line := data[valid : valid+nl]
 		var rec Record
-		if err := json.Unmarshal(line, &rec); err != nil || rec.Key == "" {
+		if err := json.Unmarshal(data[valid:valid+nl], &rec); err != nil || rec.Key == "" {
 			break // torn or foreign content; drop it and everything after
 		}
 		if _, dup := s.byKey[rec.Key]; !dup {
-			s.byKey[rec.Key] = rec
-			s.records = append(s.records, rec)
+			line, err := json.Marshal(rec)
+			if err != nil {
+				f.Close()
+				return nil, err
+			}
+			s.byKey[rec.Key] = len(s.entries)
+			s.entries = append(s.entries, sinkEntry{rec: rec, line: line})
 		}
 		valid += nl + 1
 	}
@@ -125,34 +153,41 @@ func (s *Sink) Path() string { return s.path }
 // the key set of the FULL suite (all shards), so records contributed by
 // other shards of the same layout are never touched. The journal file
 // still holds the stale lines until Finalize rewrites it; the in-memory
-// view (Lookup/Records/Finalize) is pruned immediately.
+// view (Lookup/Len/Finalize) is pruned immediately.
 func (s *Sink) Restrict(valid map[string]bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	kept := s.records[:0]
-	for _, rec := range s.records {
-		if valid[rec.Key] {
-			kept = append(kept, rec)
+	kept := s.entries[:0]
+	for _, e := range s.entries {
+		if valid[e.rec.Key] {
+			kept = append(kept, e)
 		} else {
-			delete(s.byKey, rec.Key)
+			delete(s.byKey, e.rec.Key)
 		}
 	}
-	s.records = kept
+	clear(s.entries[len(kept):])
+	s.entries = kept
+	for i, e := range s.entries {
+		s.byKey[e.rec.Key] = i
+	}
 }
 
 // Lookup returns the already-journaled record for key, if any.
 func (s *Sink) Lookup(key string) (Record, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	rec, ok := s.byKey[key]
-	return rec, ok
+	i, ok := s.byKey[key]
+	if !ok {
+		return Record{}, false
+	}
+	return s.entries[i].rec, true
 }
 
 // Len returns the number of journaled records.
 func (s *Sink) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.records)
+	return len(s.entries)
 }
 
 // Append journals one record through the group-commit buffer: the line
@@ -170,10 +205,10 @@ func (s *Sink) Append(rec Record) error {
 }
 
 // AppendEncoded journals a record whose canonical json.Marshal encoding
-// the caller already holds — the pipeline's warm path hands the bytes
-// straight from the result store, skipping a re-marshal per cache hit.
-// line must be exactly json.Marshal(rec) (Finalize re-canonicalizes
-// regardless, so a violation could only reach the intermediate journal).
+// the caller already holds — the pipeline encodes each fresh record once
+// for the store and the sink, and its warm path hands the bytes straight
+// from the result store. line must be exactly json.Marshal(rec): Finalize
+// writes it as is. The sink copies line; the caller keeps ownership.
 func (s *Sink) AppendEncoded(rec Record, line []byte) error {
 	if len(line) == 0 {
 		return s.Append(rec)
@@ -187,34 +222,41 @@ func (s *Sink) appendLine(rec Record, data []byte) error {
 	if _, dup := s.byKey[rec.Key]; dup {
 		return nil
 	}
-	s.buf = append(s.buf, data...)
-	s.buf = append(s.buf, '\n')
+	if len(s.chunk)+len(data)+1 > cap(s.chunk) {
+		// The chunk is full: commit it and start a fresh one (a line
+		// larger than a chunk gets a chunk of its own).
+		if err := s.flushLocked(false); err != nil {
+			return err
+		}
+		s.chunk = make([]byte, 0, max(min(2*cap(s.chunk), sinkChunkBytes), sinkFirstChunkBytes, len(data)+1))
+		s.flushed = 0
+	}
+	start := len(s.chunk)
+	s.chunk = append(s.chunk, data...)
+	s.chunk = append(s.chunk, '\n')
 	if s.tel != nil {
 		s.tel.Counter("journal.appends").Inc()
 		s.tel.Counter("journal.bytes").Add(int64(len(data) + 1))
 	}
-	s.byKey[rec.Key] = rec
-	s.records = append(s.records, rec)
-	if len(s.buf) >= sinkFlushBytes {
-		return s.flushLocked(false)
-	}
+	s.byKey[rec.Key] = len(s.entries)
+	s.entries = append(s.entries, sinkEntry{rec: rec, line: s.chunk[start : start+len(data) : start+len(data)]})
 	return nil
 }
 
 // flushLocked is the batch commit: one write covers every append since
-// the last flush; sync additionally fsyncs (the Close/Finalize barrier —
-// interval and size flushes leave durability to the OS, exactly the
-// pre-batching behaviour of per-record appends).
+// the last commit; fsync additionally syncs the file (the Close
+// barrier — interval and chunk commits leave durability to the OS,
+// exactly the pre-batching behaviour of per-record appends).
 func (s *Sink) flushLocked(fsync bool) error {
 	if s.f == nil {
 		return nil
 	}
-	if len(s.buf) > 0 {
+	if s.flushed < len(s.chunk) {
 		flushStart := time.Now()
-		if _, err := s.f.Write(s.buf); err != nil {
+		if _, err := s.f.Write(s.chunk[s.flushed:]); err != nil {
 			return err
 		}
-		s.buf = s.buf[:0]
+		s.flushed = len(s.chunk)
 		if s.tel != nil {
 			s.tel.Histogram("journal.flush_ns").ObserveSince(flushStart)
 			s.tel.Counter("journal.batches").Inc()
@@ -250,9 +292,7 @@ func (s *Sink) flusher() {
 			return
 		case <-t.C:
 			s.mu.Lock()
-			if s.f != nil && len(s.buf) > 0 {
-				s.flushLocked(false) // best-effort; errors surface on Close/Finalize
-			}
+			s.flushLocked(false) // best-effort; errors surface on Close/Finalize
 			s.mu.Unlock()
 		}
 	}
@@ -262,18 +302,12 @@ func (s *Sink) stopFlusher() {
 	s.stopOnce.Do(func() { close(s.flushDone) })
 }
 
-// Records returns a copy of every journaled record, in journal order.
-func (s *Sink) Records() []Record {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]Record(nil), s.records...)
-}
-
 // Finalize rewrites the sink file in canonical order and closes the sink.
 // After Finalize the file's bytes depend only on the record *set* — not on
 // completion order, shard layout, cache hits or how many interrupted runs
 // contributed — which is the property the shard-invariance and
-// resume-equivalence tests pin.
+// resume-equivalence tests pin. The rewrite is atomic and durable; its
+// two fsyncs (file and directory) count in journal.fsyncs.
 func (s *Sink) Finalize() error {
 	s.stopFlusher()
 	s.mu.Lock()
@@ -286,8 +320,22 @@ func (s *Sink) Finalize() error {
 		return err
 	}
 	s.f = nil
-	err := WriteRecords(s.path, s.records)
+	order := make([]int, len(s.entries))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int {
+		return compareRecords(&s.entries[a].rec, &s.entries[b].rec)
+	})
+	lines := make([][]byte, len(order))
+	for i, j := range order {
+		lines[i] = s.entries[j].line
+	}
+	err := writeLines(s.path, lines)
 	if s.tel != nil {
+		if err == nil {
+			s.tel.Counter("journal.fsyncs").Add(2)
+		}
 		s.tel.Histogram("journal.finalize_ns").ObserveSince(finalizeStart)
 	}
 	return err
@@ -313,33 +361,44 @@ func (s *Sink) Close() error {
 	return err
 }
 
-// sortRecords orders records canonically: by name, key-tiebroken (names
-// are unique across the generated suite, but user script directories make
-// no such promise).
-func sortRecords(records []Record) {
-	sort.Slice(records, func(i, j int) bool {
-		if records[i].Name != records[j].Name {
-			return records[i].Name < records[j].Name
-		}
-		return records[i].Key < records[j].Key
-	})
+// compareRecords orders records canonically: by name, key-tiebroken
+// (names are unique across the generated suite, but user script
+// directories make no such promise).
+func compareRecords(a, b *Record) int {
+	if c := strings.Compare(a.Name, b.Name); c != 0 {
+		return c
+	}
+	return strings.Compare(a.Key, b.Key)
 }
 
 // WriteRecords writes records to path in canonical order, atomically and
 // durably (temp file + fsync + rename + directory fsync), world-readable.
 func WriteRecords(path string, records []Record) error {
 	sorted := append([]Record(nil), records...)
-	sortRecords(sorted)
-	var buf bytes.Buffer
-	for _, rec := range sorted {
-		data, err := json.Marshal(rec)
+	slices.SortFunc(sorted, func(a, b Record) int { return compareRecords(&a, &b) })
+	lines := make([][]byte, len(sorted))
+	for i := range sorted {
+		line, err := json.Marshal(sorted[i])
 		if err != nil {
 			return err
 		}
-		buf.Write(data)
-		buf.WriteByte('\n')
+		lines[i] = line
 	}
-	return atomicWriteFile(path, ".jsonl-*", buf.Bytes())
+	return writeLines(path, lines)
+}
+
+// writeLines writes each line and its '\n' to path, atomically and
+// durably (see atomicWrite), streaming through a buffer instead of
+// joining the whole file in memory.
+func writeLines(path string, lines [][]byte) error {
+	return atomicWrite(path, ".jsonl-*", func(w io.Writer) error {
+		bw := bufio.NewWriterSize(w, 256<<10)
+		for _, line := range lines {
+			bw.Write(line)
+			bw.WriteByte('\n')
+		}
+		return bw.Flush() // the first write error sticks and surfaces here
+	})
 }
 
 // ReadRecords loads every record line of a JSONL file, in file order. A
@@ -353,20 +412,26 @@ func ReadRecords(path string) ([]Record, error) {
 	if err != nil {
 		return nil, err
 	}
-	var out []Record
-	off := 0
-	for off < len(data) {
+	var lines [][]byte
+	for off := 0; off < len(data); {
 		nl := bytes.IndexByte(data[off:], '\n')
 		if nl < 0 {
 			break // torn tail
 		}
-		line := data[off : off+nl]
+		lines = append(lines, data[off:off+nl])
 		off += nl + 1
-		var rec Record
-		if err := json.Unmarshal(line, &rec); err != nil {
-			return nil, fmt.Errorf("pipeline: %s: bad record line: %w", path, err)
+	}
+	// Lines decode independently, so they parse on every core into
+	// index-aligned slots; the error reported is the first bad line's.
+	out := make([]Record, len(lines))
+	var bad lowestError
+	parallelEach(len(lines), func(i int) {
+		if err := json.Unmarshal(lines[i], &out[i]); err != nil {
+			bad.set(i, err)
 		}
-		out = append(out, rec)
+	})
+	if bad.err != nil {
+		return nil, fmt.Errorf("pipeline: %s: bad record line: %w", path, bad.err)
 	}
 	return out, nil
 }
