@@ -425,6 +425,11 @@ func (c *Checker) unionTrans(dst, states []*osspec.OsState, lbl types.Label, key
 // into) the cons table when memoising, pre-hashed for dedup otherwise.
 // The returned slice must not be mutated.
 func (c *Checker) trans(s *osspec.OsState, lbl types.Label, key string) []*osspec.OsState {
+	if r, ok := lbl.(types.ReturnLabel); ok && !osspec.Returning(s, r.Pid) {
+		// Empty by construction (Trans's guard): not worth a memo probe,
+		// whose miss would intern an empty entry.
+		return osspec.Trans(s, lbl)
+	}
 	if memo := c.memo(); memo != nil {
 		if succs, ok := memo.Get(s, key); ok {
 			return succs

@@ -22,7 +22,8 @@ func Run(ctx context.Context, s *trace.Script, factory fsimpl.Factory) (*trace.T
 		return nil, fmt.Errorf("exec: creating file system: %w", err)
 	}
 	defer fs.Close()
-	t := &trace.Trace{Name: s.Name}
+	// Two steps per call (the call and its return), one per other label.
+	t := &trace.Trace{Name: s.Name, Steps: make([]trace.Step, 0, 2*len(s.Steps))}
 	line := 0
 	emit := func(lbl types.Label) {
 		line++
@@ -34,15 +35,15 @@ func Run(ctx context.Context, s *trace.Script, factory fsimpl.Factory) (*trace.T
 		}
 		switch lbl := st.Label.(type) {
 		case types.CallLabel:
-			emit(lbl)
+			emit(st.Label) // the script's own boxed label, not a re-boxed copy
 			rv := fs.Apply(lbl.Pid, lbl.Cmd)
 			emit(types.ReturnLabel{Pid: lbl.Pid, Ret: rv})
 		case types.CreateLabel:
 			fs.CreateProcess(lbl.Pid, lbl.Uid, lbl.Gid)
-			emit(lbl)
+			emit(st.Label)
 		case types.DestroyLabel:
 			fs.DestroyProcess(lbl.Pid)
-			emit(lbl)
+			emit(st.Label)
 		case types.CrashLabel:
 			// Power loss + remount. The implementation picks which pending
 			// effects survived (lbl.Keep, clamped by the backend); the oracle
@@ -57,7 +58,7 @@ func Run(ctx context.Context, s *trace.Script, factory fsimpl.Factory) (*trace.T
 			if err := cfs.Crash(lbl.Keep); err != nil {
 				return nil, fmt.Errorf("exec: script %q line %d: %w", s.Name, st.Line, err)
 			}
-			emit(lbl)
+			emit(st.Label)
 		case types.TauLabel:
 			// Scripts don't contain τ; ignore if present.
 		case types.ReturnLabel:

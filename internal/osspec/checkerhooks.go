@@ -272,6 +272,9 @@ func MapStates(states []*OsState, workers int, fn func(*OsState) []*OsState) [][
 // equal states in later traces; interned successors are already hashed and
 // frozen, and the returned slice must not be mutated.
 func expandOne(s *OsState, hash bool, memo *ConsTable) []*OsState {
+	if !hasCallingProc(s) {
+		return nil // empty by construction: not worth a memo probe
+	}
 	if memo != nil {
 		if succs, ok := memo.Get(s, tauExpandKey); ok {
 			return succs
@@ -290,6 +293,14 @@ func expandOne(s *OsState, hash bool, memo *ConsTable) []*OsState {
 		}
 	}
 	return out
+}
+
+// Returning reports whether pid is a process of s waiting to return —
+// the guard Trans applies to a return label, so a return on any other
+// state has no successors.
+func Returning(s *OsState, pid types.Pid) bool {
+	p, ok := s.procs[pid]
+	return ok && p.Run == RsReturning && p.PendingRet != nil
 }
 
 // AllowedReturn describes the return value(s) a state in RsReturning allows

@@ -15,14 +15,16 @@ import (
 // allocCeilingPerTrace is the allocation gate of the cold sequential
 // path: heap objects allocated per trace by execute → check → render →
 // encode → store → journal → finalize, on the stratified sample below
-// with one worker and a fresh cons table. The figure measured when the
-// gate was introduced was 349 allocs/trace (go1.24, linux/amd64); the
-// ceiling is that plus 10%. Allocation counts are a deterministic work
+// with one worker and a fresh cons table. The figure measured last was
+// 325.7 allocs/trace (go1.24, linux/amd64), after the executor stopped
+// re-boxing each call label and the checker stopped probing the cons
+// table for transitions that are empty by construction; the ceiling is
+// that plus 10%. Allocation counts are a deterministic work
 // counter — unlike wall time they do not drift with the machine — so a
 // change that pushes past the ceiling has added per-trace work. Lower
 // the ceiling when a change lowers the figure; raise it only with a
 // reason.
-const allocCeilingPerTrace = 384
+const allocCeilingPerTrace = 358
 
 // allocSampleStride takes every 40th script of each command group: about
 // 520 traces, with every group represented in proportion to its size.
@@ -83,23 +85,75 @@ func TestColdPathAllocCeiling(t *testing.T) {
 		},
 	}
 
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	_, st, err := Run(context.Background(), cfg)
-	if err == nil {
-		err = sink.Finalize()
-	}
-	runtime.ReadMemStats(&after)
+	var st Stats
+	perTrace := allocsPer(len(sample), func() {
+		if _, st, err = Run(context.Background(), cfg); err == nil {
+			err = sink.Finalize()
+		}
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.Executed != len(sample) {
 		t.Fatalf("executed %d of %d sampled traces", st.Executed, len(sample))
 	}
-	perTrace := float64(after.Mallocs-before.Mallocs) / float64(len(sample))
 	t.Logf("%d sampled traces: %.1f allocs/trace (ceiling %d)", len(sample), perTrace, allocCeilingPerTrace)
 	if perTrace > allocCeilingPerTrace {
 		t.Fatalf("cold path allocates %.1f objects per trace, over the ceiling of %d", perTrace, allocCeilingPerTrace)
+	}
+}
+
+// Decode allocation ceilings of the warm path's two text decoders, per
+// script of the generated suite's blob (DecodeSuite) and per record of a
+// full-suite journal (ReadRecords), as measured when the gate was
+// introduced plus 10% (go1.24, linux/amd64): 32.05 allocs/script, nearly
+// all of them the boxed labels and commands a parsed script is made of,
+// and 3.00 allocs/record, its three strings. Like allocCeilingPerTrace
+// they count work, not time; lower them when a change lowers the figure.
+const (
+	decodeSuiteAllocCeilingPerScript = 35.3
+	readRecordsAllocCeilingPerRecord = 3.3
+)
+
+// allocsPer runs fn once and returns the heap objects it allocated,
+// divided by n.
+func allocsPer(n int, fn func()) float64 {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(n)
+}
+
+// TestDecodeAllocCeiling is the decode allocation gate, on the generated
+// suite's blob and a full-suite journal (suiteJournal).
+func TestDecodeAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	scripts := testgen.Generate().Scripts
+	blob, _ := EncodeSuite(scripts)
+	var decoded []*trace.Script
+	var err error
+	perScript := allocsPer(len(scripts), func() { decoded, _, err = DecodeSuite(blob) })
+	if err != nil || len(decoded) != len(scripts) {
+		t.Fatalf("DecodeSuite: %d scripts, %v", len(decoded), err)
+	}
+
+	path := suiteJournal(t, scripts)
+	var read []Record
+	perRecord := allocsPer(len(scripts), func() { read, err = ReadRecords(path) })
+	if err != nil || len(read) != len(scripts) {
+		t.Fatalf("ReadRecords: %d records, %v", len(read), err)
+	}
+
+	t.Logf("DecodeSuite: %.2f allocs/script (ceiling %.2f); ReadRecords: %.2f allocs/record (ceiling %.2f)",
+		perScript, decodeSuiteAllocCeilingPerScript, perRecord, readRecordsAllocCeilingPerRecord)
+	if perScript > decodeSuiteAllocCeilingPerScript {
+		t.Errorf("DecodeSuite allocates %.2f objects per script, over the ceiling of %.2f", perScript, decodeSuiteAllocCeilingPerScript)
+	}
+	if perRecord > readRecordsAllocCeilingPerRecord {
+		t.Errorf("ReadRecords allocates %.2f objects per record, over the ceiling of %.2f", perRecord, readRecordsAllocCeilingPerRecord)
 	}
 }

@@ -1,7 +1,6 @@
 package pipeline
 
 import (
-	"encoding/json"
 	"path/filepath"
 
 	"repro/internal/telemetry"
@@ -108,10 +107,10 @@ func (c *Cache) GetRecord(key string) (Record, bool) {
 }
 
 // getRecord also returns the record's canonical JSON line — exactly the
-// json.Marshal bytes PutRecord wrote — so the pipeline's warm path can
-// journal a hit without re-marshalling it (Sink.AppendEncoded). Framed
-// entries (codec.go) decode without a JSON parse at all; bare-JSON
-// entries are parsed and re-encoded.
+// bytes PutRecord stored — so the pipeline's warm path can journal a hit
+// without re-encoding it (Sink.AppendEncoded). Framed entries (codec.go)
+// decode without a JSON parse at all; bare-JSON entries are parsed and
+// re-encoded.
 func (c *Cache) getRecord(key string) (Record, []byte, bool) {
 	data, ok := c.get(key)
 	if !ok {
@@ -122,21 +121,20 @@ func (c *Cache) getRecord(key string) (Record, []byte, bool) {
 
 // PutRecord stores a record under its key.
 func (c *Cache) PutRecord(rec Record) error {
-	line, err := json.Marshal(rec)
-	if err != nil {
-		return err
-	}
-	return c.putRecordLine(rec, line)
+	_, err := c.putRecord(&rec)
+	return err
 }
 
-// putRecordLine stores rec given its canonical JSON line (exactly
-// json.Marshal(rec)) — the pipeline encodes each fresh record once and
-// hands the same line to the store and the journal.
-func (c *Cache) putRecordLine(rec Record, line []byte) error {
+// putRecord stores rec and returns its canonical JSON line (appendRecord)
+// — the pipeline encodes each fresh record once and hands the same line
+// to the journal, which copies it.
+func (c *Cache) putRecord(rec *Record) ([]byte, error) {
 	if c.framed {
-		return c.put(rec.Key, encodeRecord(rec, line))
+		frame, line := frameRecord(rec)
+		return line, c.put(rec.Key, frame)
 	}
-	return c.put(rec.Key, line)
+	line := marshalRecord(rec)
+	return line, c.put(rec.Key, line)
 }
 
 // GetRaw and PutRaw expose the store to sibling subsystems that cache

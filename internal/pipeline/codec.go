@@ -1,9 +1,6 @@
 package pipeline
 
-import (
-	"encoding/binary"
-	"encoding/json"
-)
+import "encoding/binary"
 
 // Framed record encoding — the value format pack-backed caches store
 // under a record key. A v1 entry is the record's canonical JSON line and
@@ -17,10 +14,10 @@ import (
 // no parser) and journals the embedded canonical JSON verbatim
 // (Sink.AppendEncoded) — neither a JSON parse nor a re-marshal. The JSON
 // is authoritative for every external consumer (journal, Finalize,
-// ReadRecords) and is written as is: it is the json.Marshal(rec) line
-// PutRecord framed. The binary part is a pure decode accelerator, and any
-// damage to it degrades to parsing the embedded JSON, never to a wrong
-// record.
+// ReadRecords) and is written as is: it is the canonical line
+// (appendRecord, byte-identical to json.Marshal(rec)) frameRecord wrote.
+// The binary part is a pure decode accelerator, and any damage to it
+// degrades to parsing the embedded JSON, never to a wrong record.
 //
 // DirStore-bound caches (OpenDirCache, sfs-run -store dir) keep writing
 // bare JSON: the dir layout IS the v1 compatibility format, and the
@@ -32,19 +29,24 @@ import (
 // so the tag can never be confused with a v1 record.
 const recMagic = "sfsrec1\x00"
 
-// encodeRecord frames rec and its canonical JSON encoding (line must be
-// exactly json.Marshal(rec)).
-func encodeRecord(rec Record, line []byte) []byte {
-	n := len(recMagic) + 4 + len(line) + 4 + len(rec.Name) + 1 + 16 + 4 + len(rec.Checked) + 4
+// frameRecord encodes rec as a framed entry, writing its canonical JSON
+// line (appendRecord) straight into the frame, and returns the frame and
+// the line within it — one buffer serves the store and, through
+// Sink.AppendEncoded (which copies), the journal.
+func frameRecord(rec *Record) (frame, line []byte) {
+	head := len(recMagic) + 4
+	n := 1 + 16 + 4 + len(rec.Name) + 4 + len(rec.Checked) + 4
 	for _, e := range rec.Errors {
 		n += 4 + 4 + len(e.Observed) + 4
 		for _, a := range e.Allowed {
 			n += 4 + len(a)
 		}
 	}
-	buf := make([]byte, 0, n)
-	buf = append(buf, recMagic...)
-	buf = appendBytes32(buf, line)
+	buf := make([]byte, head, head+recordLineHint(rec)+n)
+	copy(buf, recMagic)
+	buf = appendRecord(buf, rec)
+	lineEnd := len(buf)
+	binary.BigEndian.PutUint32(buf[len(recMagic):], uint32(lineEnd-head))
 	buf = appendBytes32(buf, []byte(rec.Name))
 	var flags byte
 	if rec.Accepted {
@@ -68,7 +70,7 @@ func encodeRecord(rec Record, line []byte) []byte {
 			buf = appendBytes32(buf, []byte(a))
 		}
 	}
-	return buf
+	return buf, buf[head:lineEnd:lineEnd]
 }
 
 func appendBytes32(buf, b []byte) []byte {
@@ -122,15 +124,11 @@ func decodeRecord(data []byte, key string) (Record, []byte, bool) {
 // the stored bytes (the journal writes it verbatim).
 func parseRecordLine(data []byte, key string) (Record, []byte, bool) {
 	var rec Record
-	if err := json.Unmarshal(data, &rec); err != nil {
+	if err := unmarshalRecordLine(data, &rec); err != nil {
 		return Record{}, nil, false
 	}
 	rec.Key = key
-	line, err := json.Marshal(rec)
-	if err != nil {
-		return Record{}, nil, false
-	}
-	return rec, line, true
+	return rec, marshalRecord(&rec), true
 }
 
 // decoder is a bounds-checked cursor over a framed entry; any overrun

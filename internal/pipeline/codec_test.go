@@ -28,7 +28,10 @@ func TestRecordCodecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data := encodeRecord(rec, line)
+	data, framedLine := frameRecord(&rec)
+	if !bytes.Equal(framedLine, line) {
+		t.Fatalf("framed line mismatch:\n got %q\nwant %q", framedLine, line)
+	}
 	got, gotLine, ok := decodeRecord(data, rec.Key)
 	if !ok {
 		t.Fatal("decodeRecord: not ok")
@@ -65,7 +68,7 @@ func TestRecordCodecDamagedBinaryFallsBackToJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data := encodeRecord(rec, line)
+	data, _ := frameRecord(&rec)
 	// Truncate into the binary tail: the embedded JSON (which sits right
 	// after the magic and length) stays intact and must win.
 	for _, cut := range []int{len(data) - 1, len(data) - 10, len(recMagic) + 4 + len(line)} {

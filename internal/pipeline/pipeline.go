@@ -2,7 +2,6 @@ package pipeline
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -211,6 +210,9 @@ func Run(ctx context.Context, cfg Config) ([]Record, Stats, error) {
 		}
 	}
 	st.Jobs = len(jobs)
+	if cfg.Sink != nil {
+		cfg.Sink.reserve(len(jobs))
+	}
 
 	start := time.Now()
 	_, span := telemetry.StartSpan(ctx, tel, "pipeline.run")
@@ -221,15 +223,20 @@ func Run(ctx context.Context, cfg Config) ([]Record, Stats, error) {
 	var failed atomic.Bool // first job error stops further work
 	var mu sync.Mutex      // st counters + log
 	lastProgress := start
+	// Workers claim job indices from a shared counter (as parallelEach
+	// does): no feeder goroutine, no per-job channel handoff. Once ctx is
+	// done or a job has failed no worker starts another job; completed
+	// records stay in the sink and cache.
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	idx := make(chan int)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for j := range idx {
-				if failed.Load() || ctx.Err() != nil {
-					continue // drain: completed records stay in sink/cache
+			for !failed.Load() && ctx.Err() == nil {
+				j := int(next.Add(1)) - 1
+				if j >= len(jobs) {
+					return
 				}
 				jobStart := time.Now()
 				rec, hit, skipped, err := runJob(ctx, cfg, chk, tel, cfg.Scripts[jobs[j]], keys[jobs[j]])
@@ -268,15 +275,6 @@ func Run(ctx context.Context, cfg Config) ([]Record, Stats, error) {
 			}
 		}()
 	}
-feed:
-	for j := range jobs {
-		select {
-		case idx <- j:
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(idx)
 	wg.Wait()
 	st.Elapsed = time.Since(start)
 	// Group-commit barrier: every exit — success, job error, cancel —
@@ -393,18 +391,17 @@ func runJob(ctx context.Context, cfg Config, chk *checker.Checker, tel *telemetr
 	}
 	// One encoding serves the store and the journal (and, through the
 	// journal, Finalize).
-	line, err := json.Marshal(rec)
-	if err != nil {
-		return rec, false, false, err
-	}
+	var line []byte
 	if cfg.Cache != nil {
 		storeStart := time.Now()
-		err := cfg.Cache.putRecordLine(rec, line)
+		line, err = cfg.Cache.putRecord(&rec)
 		tel.Histogram("pipeline.cache_store_ns").ObserveSince(storeStart)
 		if err != nil {
 			return rec, false, false, err
 		}
 		tel.Counter("pipeline.cache_stores").Inc()
+	} else {
+		line = marshalRecord(&rec)
 	}
 	if cfg.Sink != nil {
 		if err := cfg.Sink.AppendEncoded(rec, line); err != nil {

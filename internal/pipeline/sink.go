@@ -3,7 +3,6 @@ package pipeline
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -26,8 +25,9 @@ import (
 // canonical order before the sink is handed to consumers.
 //
 // Every record is JSON-encoded exactly once: the sink keeps each record's
-// canonical line (json.Marshal bytes) beside it, and Finalize writes the
-// sorted lines it already holds instead of re-marshalling the run.
+// canonical line (appendRecord, byte-identical to json.Marshal) beside
+// it, and Finalize writes the sorted lines it already holds instead of
+// re-encoding the run.
 type Sink struct {
 	mu      sync.Mutex
 	f       *os.File
@@ -112,18 +112,14 @@ func OpenSink(path string, resume bool) (*Sink, error) {
 		if nl < 0 {
 			break // torn tail: no terminating newline
 		}
+		raw := data[valid : valid+nl]
 		var rec Record
-		if err := json.Unmarshal(data[valid:valid+nl], &rec); err != nil || rec.Key == "" {
+		if err := unmarshalRecordLine(raw, &rec); err != nil || rec.Key == "" {
 			break // torn or foreign content; drop it and everything after
 		}
 		if _, dup := s.byKey[rec.Key]; !dup {
-			line, err := json.Marshal(rec)
-			if err != nil {
-				f.Close()
-				return nil, err
-			}
 			s.byKey[rec.Key] = len(s.entries)
-			s.entries = append(s.entries, sinkEntry{rec: rec, line: line})
+			s.entries = append(s.entries, sinkEntry{rec: rec, line: appendRecord(make([]byte, 0, len(raw)), &rec)})
 		}
 		valid += nl + 1
 	}
@@ -172,6 +168,24 @@ func (s *Sink) Restrict(valid map[string]bool) {
 	}
 }
 
+// reserve makes room for a run of n jobs, so it journals without
+// regrowing the entry table and the key index as it goes. Records the
+// sink already holds (Run has restricted them to the run's suite) count
+// against n.
+func (s *Sink) reserve(n int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if n -= len(s.entries); n <= 0 {
+		return
+	}
+	s.entries = slices.Grow(s.entries, n)
+	byKey := make(map[string]int, len(s.byKey)+n)
+	for k, i := range s.byKey {
+		byKey[k] = i
+	}
+	s.byKey = byKey
+}
+
 // Lookup returns the already-journaled record for key, if any.
 func (s *Sink) Lookup(key string) (Record, bool) {
 	s.mu.Lock()
@@ -197,18 +211,15 @@ func (s *Sink) Len() int {
 // arise from two shards of the same layout sharing a sink, where both
 // would write identical content anyway.
 func (s *Sink) Append(rec Record) error {
-	data, err := json.Marshal(rec)
-	if err != nil {
-		return err
-	}
-	return s.appendLine(rec, data)
+	return s.appendLine(rec, marshalRecord(&rec))
 }
 
-// AppendEncoded journals a record whose canonical json.Marshal encoding
-// the caller already holds — the pipeline encodes each fresh record once
-// for the store and the sink, and its warm path hands the bytes straight
-// from the result store. line must be exactly json.Marshal(rec): Finalize
-// writes it as is. The sink copies line; the caller keeps ownership.
+// AppendEncoded journals a record whose canonical encoding (appendRecord,
+// byte-identical to json.Marshal) the caller already holds — the pipeline
+// encodes each fresh record once for the store and the sink, and its warm
+// path hands the bytes straight from the result store. line must be
+// exactly that encoding: Finalize writes it as is. The sink copies line;
+// the caller keeps ownership.
 func (s *Sink) AppendEncoded(rec Record, line []byte) error {
 	if len(line) == 0 {
 		return s.Append(rec)
@@ -327,11 +338,12 @@ func (s *Sink) Finalize() error {
 	slices.SortFunc(order, func(a, b int) int {
 		return compareRecords(&s.entries[a].rec, &s.entries[b].rec)
 	})
-	lines := make([][]byte, len(order))
-	for i, j := range order {
-		lines[i] = s.entries[j].line
-	}
-	err := writeLines(s.path, lines)
+	err := writeJSONL(s.path, func(bw *bufio.Writer) {
+		for _, j := range order {
+			bw.Write(s.entries[j].line)
+			bw.WriteByte('\n')
+		}
+	})
 	if s.tel != nil {
 		if err == nil {
 			s.tel.Counter("journal.fsyncs").Add(2)
@@ -376,27 +388,22 @@ func compareRecords(a, b *Record) int {
 func WriteRecords(path string, records []Record) error {
 	sorted := append([]Record(nil), records...)
 	slices.SortFunc(sorted, func(a, b Record) int { return compareRecords(&a, &b) })
-	lines := make([][]byte, len(sorted))
-	for i := range sorted {
-		line, err := json.Marshal(sorted[i])
-		if err != nil {
-			return err
+	return writeJSONL(path, func(bw *bufio.Writer) {
+		var line []byte
+		for i := range sorted {
+			line = append(appendRecord(line[:0], &sorted[i]), '\n')
+			bw.Write(line)
 		}
-		lines[i] = line
-	}
-	return writeLines(path, lines)
+	})
 }
 
-// writeLines writes each line and its '\n' to path, atomically and
-// durably (see atomicWrite), streaming through a buffer instead of
-// joining the whole file in memory.
-func writeLines(path string, lines [][]byte) error {
+// writeJSONL writes path atomically and durably (see atomicWrite),
+// streaming what write emits through a buffer instead of joining the
+// whole file in memory.
+func writeJSONL(path string, write func(bw *bufio.Writer)) error {
 	return atomicWrite(path, ".jsonl-*", func(w io.Writer) error {
 		bw := bufio.NewWriterSize(w, 256<<10)
-		for _, line := range lines {
-			bw.Write(line)
-			bw.WriteByte('\n')
-		}
+		write(bw)
 		return bw.Flush() // the first write error sticks and surfaces here
 	})
 }
@@ -412,7 +419,7 @@ func ReadRecords(path string) ([]Record, error) {
 	if err != nil {
 		return nil, err
 	}
-	var lines [][]byte
+	lines := make([][]byte, 0, bytes.Count(data, []byte{'\n'}))
 	for off := 0; off < len(data); {
 		nl := bytes.IndexByte(data[off:], '\n')
 		if nl < 0 {
@@ -423,10 +430,12 @@ func ReadRecords(path string) ([]Record, error) {
 	}
 	// Lines decode independently, so they parse on every core into
 	// index-aligned slots; the error reported is the first bad line's.
+	// Canonical lines take the hand-written decoder, anything else
+	// json.Unmarshal (unmarshalRecordLine).
 	out := make([]Record, len(lines))
 	var bad lowestError
 	parallelEach(len(lines), func(i int) {
-		if err := json.Unmarshal(lines[i], &out[i]); err != nil {
+		if err := unmarshalRecordLine(lines[i], &out[i]); err != nil {
 			bad.set(i, err)
 		}
 	})

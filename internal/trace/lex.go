@@ -4,14 +4,16 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"unicode"
 )
 
 // tokenize splits a script/trace line into tokens: quoted strings (kept
 // with their quotes), bracketed flag lists ("[O_CREAT;O_WRONLY]"),
 // parenthesised handles ("(FD 3)"), stats records ("{ ... }") and plain
 // words. The concrete syntax is simple enough for a hand-rolled scanner.
-func tokenize(line string) ([]string, error) {
-	var toks []string
+// Tokens are appended to toks (a buffer the caller reuses across lines)
+// and slice line, so tokenizing allocates nothing once toks has grown.
+func tokenize(line string, toks []string) ([]string, error) {
 	i := 0
 	n := len(line)
 	for i < n {
@@ -113,10 +115,24 @@ func parseHandle(tok string) (kind string, n int64, err error) {
 	if len(tok) < 2 || tok[0] != '(' || tok[len(tok)-1] != ')' {
 		return "", 0, fmt.Errorf("expected handle, got %q", tok)
 	}
-	parts := strings.Fields(tok[1 : len(tok)-1])
-	if len(parts) != 2 {
+	// Exactly two space-separated fields (strings.Fields' rule, without
+	// its slice).
+	kind, rest := nextField(tok[1 : len(tok)-1])
+	num, rest := nextField(rest)
+	if extra, _ := nextField(rest); num == "" || extra != "" {
 		return "", 0, fmt.Errorf("malformed handle %q", tok)
 	}
-	n, err = strconv.ParseInt(parts[1], 10, 64)
-	return parts[0], n, err
+	n, err = strconv.ParseInt(num, 10, 64)
+	return kind, n, err
+}
+
+// nextField splits off the first whitespace-separated field of s ("" if
+// s is blank) and returns it with the remainder.
+func nextField(s string) (field, rest string) {
+	s = strings.TrimLeftFunc(s, unicode.IsSpace)
+	end := strings.IndexFunc(s, unicode.IsSpace)
+	if end < 0 {
+		return s, ""
+	}
+	return s[:end], s[end:]
 }

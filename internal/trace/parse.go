@@ -10,7 +10,7 @@ import (
 
 // ParseScript parses script concrete syntax (Fig 2).
 func ParseScript(text string) (*Script, error) {
-	s := &Script{}
+	s := &Script{Steps: make([]Step, 0, maxSteps(text))}
 	err := parseLines(text, "script", func(line int, lbl types.Label) {
 		s.Steps = append(s.Steps, Step{Label: lbl, Line: line})
 	}, &s.Name)
@@ -22,7 +22,7 @@ func ParseScript(text string) (*Script, error) {
 
 // ParseTrace parses trace concrete syntax (Fig 3).
 func ParseTrace(text string) (*Trace, error) {
-	t := &Trace{}
+	t := &Trace{Steps: make([]Step, 0, maxSteps(text))}
 	err := parseLines(text, "trace", func(line int, lbl types.Label) {
 		t.Steps = append(t.Steps, Step{Label: lbl, Line: line})
 	}, &t.Name)
@@ -32,11 +32,22 @@ func ParseTrace(text string) (*Trace, error) {
 	return t, nil
 }
 
+// maxSteps bounds the steps text can hold: one per line, less the
+// "@type" header every valid text carries.
+func maxSteps(text string) int {
+	return strings.Count(text, "\n")
+}
+
+// parseLines walks text line by line (no per-line slice of the whole
+// text), reusing one token buffer for every label it parses.
 func parseLines(text, want string, emit func(int, types.Label), name *string) error {
-	lines := strings.Split(text, "\n")
 	sawHeader := false
-	for i, raw := range lines {
-		lineNo := i + 1
+	var tokBuf [8]string // room for any label's tokens: toks stays on the stack
+	toks := tokBuf[:0]
+	rest, more := text, true
+	for lineNo := 1; more; lineNo++ {
+		var raw string
+		raw, rest, more = strings.Cut(rest, "\n")
 		line := strings.TrimSpace(raw)
 		if line == "" {
 			continue
@@ -59,7 +70,9 @@ func parseLines(text, want string, emit func(int, types.Label), name *string) er
 		if !sawHeader {
 			return fmt.Errorf("line %d: missing @type %s header", lineNo, want)
 		}
-		lbl, err := ParseLabel(line)
+		var lbl types.Label
+		var err error
+		lbl, toks, err = parseLabel(line, toks[:0])
 		if err != nil {
 			return fmt.Errorf("line %d: %v", lineNo, err)
 		}
@@ -70,10 +83,23 @@ func parseLines(text, want string, emit func(int, types.Label), name *string) er
 
 // ParseLabel parses one call, return, create, destroy or tau line.
 func ParseLabel(line string) (types.Label, error) {
-	toks, err := tokenize(line)
+	lbl, _, err := parseLabel(line, nil)
+	return lbl, err
+}
+
+// parseLabel is ParseLabel tokenizing into toks (returned, possibly
+// grown, for the next line to reuse).
+func parseLabel(line string, toks []string) (types.Label, []string, error) {
+	toks, err := tokenize(line, toks)
 	if err != nil {
-		return nil, err
+		return nil, toks, err
 	}
+	lbl, err := labelOf(toks)
+	return lbl, toks, err
+}
+
+// labelOf builds the label a line's tokens spell.
+func labelOf(toks []string) (types.Label, error) {
 	if len(toks) == 0 {
 		return nil, fmt.Errorf("empty label")
 	}

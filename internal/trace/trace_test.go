@@ -198,7 +198,7 @@ func TestQuotingProperty(t *testing.T) {
 }
 
 func TestTokenizerEdgeCases(t *testing.T) {
-	toks, err := tokenize(`a "b c" [X;Y] (FD 3) { k=v } end`)
+	toks, err := tokenize(`a "b c" [X;Y] (FD 3) { k=v } end`, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestTokenizerEdgeCases(t *testing.T) {
 		}
 	}
 	for _, bad := range []string{`"unterminated`, "[unterminated", "(unterminated", "{unterminated"} {
-		if _, err := tokenize(bad); err == nil {
+		if _, err := tokenize(bad, nil); err == nil {
 			t.Errorf("tokenize(%q) unexpectedly succeeded", bad)
 		}
 	}

@@ -84,7 +84,9 @@ func ParseOpenFlags(s string) (OpenFlags, bool) {
 	if s == "" {
 		return f, true
 	}
-	for _, part := range strings.Split(s, ";") {
+	for rest, more := s, true; more; {
+		var part string
+		part, rest, more = strings.Cut(rest, ";")
 		part = strings.TrimSpace(part)
 		if part == "O_RDONLY" {
 			continue
