@@ -35,6 +35,7 @@ The daemon serves, on -addr:
   GET  /v1/jobs/{id}/stats     the job's isolated telemetry snapshot
   POST /v1/jobs/{id}/cancel    cooperative cancel
   GET|PUT /v1/store/{key}      the shared result store (CRC-verified)
+  POST /v1/store/get           many keys in one round trip
   GET  /v1/healthz             liveness probe
 
 SIGINT/SIGTERM drain gracefully: running jobs cancel cooperatively, their
@@ -48,6 +49,15 @@ flags:
 	flag.PrintDefaults()
 	os.Exit(2)
 }
+
+// The daemon's connection timeouts: a client has readHeaderTimeout to send
+// a request's headers, and a keep-alive connection idle for idleTimeout is
+// closed. There is no whole-request timeout: a running job's record stream
+// stays open for as long as the job runs.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
 
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "sfs-serve:", err)
@@ -90,7 +100,11 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	hsrv := &http.Server{Handler: srv.Handler()}
+	hsrv := &http.Server{
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	fmt.Fprintf(os.Stderr, "sfs-serve: listening on http://%s/ (data %s, %d job slots)\n",
 		ln.Addr(), *dataDir, *jobs)
 

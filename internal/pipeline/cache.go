@@ -81,16 +81,25 @@ func (c *Cache) Dir() string { return c.dir }
 // read-only migration plumbing).
 func (c *Cache) Store() Store { return c.store }
 
-// get is the single read path under every typed accessor: primary
-// store first, then the v1 read-through fallback.
+// get is getMany for one key.
 func (c *Cache) get(key string) ([]byte, bool) {
-	if data, ok := c.store.Get(key); ok {
-		return data, true
-	}
+	val := c.getMany([]string{key})[0]
+	return val, val != nil
+}
+
+// getMany is the single read path under every typed accessor and the
+// pipeline's windows: one GetMany on the primary store, then the v1
+// read-through fallback for each of its misses.
+func (c *Cache) getMany(keys []string) [][]byte {
+	out := c.store.GetMany(keys)
 	if c.fallback != nil {
-		return c.fallback.Get(key)
+		for i, val := range out {
+			if val == nil {
+				out[i], _ = c.fallback.Get(keys[i])
+			}
+		}
 	}
-	return nil, false
+	return out
 }
 
 // put is the single write path under every typed accessor.

@@ -53,6 +53,15 @@ func (d *DirStore) Get(key string) ([]byte, bool) {
 	return data, true
 }
 
+// GetMany is Get for each key: a file per key leaves nothing to share.
+func (d *DirStore) GetMany(keys []string) [][]byte {
+	out := make([][]byte, len(keys))
+	for i, key := range keys {
+		out[i], _ = d.Get(key)
+	}
+	return out
+}
+
 // Put stores data under key, atomically and durably — every Put is its
 // own fsync + rename + directory-fsync transaction, so Flush is a no-op.
 func (d *DirStore) Put(key string, data []byte) error {

@@ -2,13 +2,10 @@ package pipeline
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"net/http"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -19,17 +16,19 @@ import (
 // HTTPStore is a Store served over the wire by an sfs-serve daemon (or
 // any server mounting StoreHandler): a fleet of CI clients pointing
 // `sfs-run -store http://…` at one daemon share one warm
-// content-addressed cache. The protocol is four verbs under /v1/store —
-// GET/PUT a single key, POST a framed batch, POST flush — with every
+// content-addressed cache. The client reads with a batch get and writes
+// framed batches and flushes (StoreHandler lists the routes), with every
 // value CRC-verified end to end (crc32c over key‖value, the same
 // checksum pack entries carry on disk).
 //
 // Semantics against the Store contract:
 //
-//   - Get checks the local write-behind batch first (read-your-writes),
-//     then the server. A 404, a torn or truncated body, or a CRC
-//     mismatch is a miss, never an error. When the server is
-//     unreachable the optional Fallback store answers instead.
+//   - GetMany (and Get, its one-key form) checks the local write-behind
+//     batch first (read-your-writes), then the server, in one round
+//     trip for the whole window. A key the server lacks, a torn or
+//     truncated body, or a CRC mismatch is a miss, never an error. When
+//     the server is unreachable the optional Fallback store answers
+//     instead.
 //   - Put appends to a bounded in-memory write-behind batch; crossing
 //     the bound ships the batch inline. Put never fails on a network
 //     fault — the cache is lossy by contract, and a dead cache server
@@ -122,75 +121,154 @@ func (h *HTTPStore) telemetry() *telemetry.Registry {
 	return h.tel
 }
 
-// storeCRCHeader carries the crc32c(key‖value) checksum beside every
-// value on the wire; a body that does not match it is treated as torn.
-const storeCRCHeader = "X-Sfs-Crc32c"
-
-// wireCRC is the end-to-end checksum: identical to the CRC pack entries
-// carry, so a value round-trips server disk → wire → client unchanged
-// under one checksum discipline.
-func wireCRC(key string, val []byte) uint32 {
-	sum := crc32.Checksum([]byte(key), packCRC)
-	return crc32.Update(sum, packCRC, val)
+// Get is GetMany for one key.
+func (h *HTTPStore) Get(key string) ([]byte, bool) {
+	val := h.GetMany([]string{key})[0]
+	return val, val != nil
 }
 
-// Get returns the bytes stored under key: the local write-behind batch
-// first, then the server, then the fallback store. Network faults,
-// torn bodies and CRC mismatches are misses, never errors.
-func (h *HTTPStore) Get(key string) ([]byte, bool) {
+// maxGetKeys caps the keys of one POST /v1/store/get; the server answers
+// a longer list with 400, so GetMany splits longer windows.
+const maxGetKeys = 4096
+
+// GetMany returns the bytes stored under each key (nil on a miss), in one
+// round trip per maxGetKeys keys: the write-behind batch answers first
+// (read-your-writes), then one POST /v1/store/get asks the server for the
+// rest. The response holds frames for the server's hits only, in request
+// order. Per key: a key the server omits is an authoritative miss the
+// Fallback may answer; a transport error or a 5xx after retries sends
+// each key to the Fallback; a frame that fails its CRC misses its own
+// key, and a torn response misses the keys it did not deliver — misses,
+// never errors. Hit values share the response body's buffer.
+//
+// pipeline.http_gets and http_hits count keys; pipeline.http_get_ns
+// observes one request.
+func (h *HTTPStore) GetMany(keys []string) [][]byte {
+	out := make([][]byte, len(keys))
+	ask := make([]int, 0, len(keys))
 	h.mu.Lock()
-	if val, ok := h.pending[key]; ok {
-		out := append([]byte(nil), val...)
-		h.mu.Unlock()
-		return out, true
-	}
-	if val, ok := h.inflight[key]; ok {
-		out := append([]byte(nil), val...)
-		h.mu.Unlock()
-		return out, true
+	for i, key := range keys {
+		if val, ok := h.pending[key]; ok {
+			out[i] = append([]byte{}, val...) // non-nil even when empty
+		} else if val, ok := h.inflight[key]; ok {
+			out[i] = append([]byte{}, val...)
+		} else {
+			ask = append(ask, i)
+		}
 	}
 	h.mu.Unlock()
+	for len(ask) > 0 {
+		n := min(len(ask), maxGetKeys)
+		h.getBatch(keys, ask[:n], out)
+		ask = ask[n:]
+	}
+	return out
+}
 
+// getBatch fetches keys[i] for every i in ask (at most maxGetKeys) in
+// one request and fills out[i] with each hit.
+func (h *HTTPStore) getBatch(keys []string, ask []int, out [][]byte) {
 	tel := h.telemetry()
-	tel.Counter("pipeline.http_gets").Inc()
+	tel.Counter("pipeline.http_gets").Add(int64(len(ask)))
 	defer tel.Histogram("pipeline.http_get_ns").ObserveSince(time.Now())
-	resp, err := h.do(http.MethodGet, "/v1/store/"+key, nil)
+	req := make([]byte, 0, len(ask)*(len(keys[ask[0]])+1))
+	for _, i := range ask {
+		req = append(req, keys[i]...)
+		req = append(req, '\n')
+	}
+	resp, err := h.do(http.MethodPost, "/v1/store/get", req)
 	if err != nil {
-		return h.fallbackGet(key)
+		for _, i := range ask {
+			out[i], _ = h.fallbackGet(keys[i])
+		}
+		return
 	}
 	defer func() {
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 	}()
-	if resp.StatusCode == http.StatusNotFound {
-		tel.Counter("pipeline.http_misses").Inc()
-		if h.opts.Fallback != nil {
-			// Authoritative remote miss, but a local fallback may still
-			// hold the entry (e.g. it absorbed a degraded batch earlier).
-			if val, ok := h.opts.Fallback.Get(key); ok {
-				tel.Counter("pipeline.http_fallback_gets").Inc()
-				return val, true
+	if resp.StatusCode != http.StatusOK {
+		for _, i := range ask {
+			out[i], _ = h.fallbackGet(keys[i])
+		}
+		return
+	}
+	body, whole := readBody(resp)
+	// ask[:next] are resolved; a frame for ask[j] resolves ask[next:j] as
+	// keys the server omitted: authoritative misses, which a local
+	// fallback may still answer (e.g. it absorbed a degraded batch).
+	next, hits, misses, fallbackHits, crcErrors := 0, 0, 0, 0, 0
+	omitTo := func(j int) {
+		for ; next < j; next++ {
+			misses++
+			if h.opts.Fallback == nil {
+				continue
+			}
+			if val, ok := h.opts.Fallback.Get(keys[ask[next]]); ok {
+				out[ask[next]] = val
+				fallbackHits++
 			}
 		}
-		return nil, false
 	}
-	if resp.StatusCode != http.StatusOK {
-		return h.fallbackGet(key)
+	defer func() {
+		addCount(tel, "pipeline.http_hits", hits)
+		addCount(tel, "pipeline.http_misses", misses)
+		addCount(tel, "pipeline.http_fallback_gets", fallbackHits)
+		addCount(tel, "pipeline.store_crc_errors", crcErrors)
+	}()
+	for len(body) > 0 {
+		f, ok := nextFrame(body)
+		if !ok {
+			whole = false
+			break
+		}
+		body = body[f.size:]
+		intact := f.intact()
+		if !intact {
+			crcErrors++
+		}
+		j := next
+		for j < len(ask) && keys[ask[j]] != string(f.key) {
+			j++
+		}
+		if j == len(ask) {
+			continue // answers no outstanding key
+		}
+		omitTo(j)
+		next = j + 1
+		if intact {
+			out[ask[j]] = f.val
+			hits++
+		}
 	}
-	val, err := io.ReadAll(resp.Body)
-	if err != nil {
-		// Torn mid-body: the connection died after the status line. A
-		// miss re-executes one trace; an error would fail the run.
+	if !whole {
+		// Torn mid-body: the keys not yet delivered miss. The server may
+		// hold them, so they are not sent to the fallback.
 		tel.Counter("pipeline.http_torn").Inc()
-		return nil, false
+		return
 	}
-	want, err := strconv.ParseUint(resp.Header.Get(storeCRCHeader), 16, 32)
-	if err != nil || wireCRC(key, val) != uint32(want) {
-		tel.Counter("pipeline.store_crc_errors").Inc()
-		return nil, false
+	omitTo(len(ask))
+}
+
+// addCount adds n to the named counter, leaving an untouched counter out
+// of the snapshot when n is 0.
+func addCount(tel *telemetry.Registry, name string, n int) {
+	if n > 0 {
+		tel.Counter(name).Add(int64(n))
 	}
-	tel.Counter("pipeline.http_hits").Inc()
-	return val, true
+}
+
+// readBody reads a response body into one buffer sized from its
+// Content-Length, bounded by maxStoreValueBytes; whole is false when the
+// body ended before it promised to or ran past the bound.
+func readBody(resp *http.Response) (body []byte, whole bool) {
+	if resp.ContentLength < 0 || resp.ContentLength > maxStoreValueBytes {
+		body, err := io.ReadAll(io.LimitReader(resp.Body, maxStoreValueBytes+1))
+		return body, err == nil && len(body) <= maxStoreValueBytes
+	}
+	body = make([]byte, resp.ContentLength)
+	n, err := io.ReadFull(resp.Body, body)
+	return body[:n], err == nil
 }
 
 func (h *HTTPStore) fallbackGet(key string) ([]byte, bool) {
@@ -258,10 +336,9 @@ func (h *HTTPStore) releaseBatch(batch map[string][]byte) {
 }
 
 // shipBatch sends one batch with retry/backoff; on exhausted retries it
-// degrades to the fallback store (or drops, counted). The batch wire
-// format is the pack entry layout — uint32 crc32c(key‖value), uint16
-// keyLen, uint32 valLen, key, value, repeated — so both sides verify
-// the same checksum the entries will carry at rest.
+// degrades to the fallback store (or drops, counted). The batch body is a
+// sequence of frames (frame.go), so both sides verify the same checksum
+// the entries will carry at rest.
 func (h *HTTPStore) shipBatch(batch map[string][]byte) {
 	defer h.releaseBatch(batch)
 	if len(batch) == 0 {
@@ -270,11 +347,7 @@ func (h *HTTPStore) shipBatch(batch map[string][]byte) {
 	tel := h.telemetry()
 	var buf []byte
 	for k, v := range batch {
-		buf = binary.BigEndian.AppendUint32(buf, wireCRC(k, v))
-		buf = binary.BigEndian.AppendUint16(buf, uint16(len(k)))
-		buf = binary.BigEndian.AppendUint32(buf, uint32(len(v)))
-		buf = append(buf, k...)
-		buf = append(buf, v...)
+		buf = appendFrame(buf, k, v)
 	}
 	resp, err := h.do(http.MethodPost, "/v1/store/batch", buf)
 	if err == nil {

@@ -70,29 +70,24 @@ func storeFixtures() []storeFixture {
 				t.Cleanup(func() { backing.Close() })
 				var mu sync.Mutex
 				tampered := map[string]bool{}
-				inner := NewStoreHandler(backing, telemetry.NewRegistry())
-				srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-					key := strings.TrimPrefix(r.URL.Path, "/v1/store/")
+				// Flip a value bit in each tampered key's frame, leaving its
+				// CRC as it was — exactly what a torn cache entry looks like
+				// on the wire.
+				srv := getManyServer(t, backing, func(w http.ResponseWriter, body []byte) {
 					mu.Lock()
-					bad := r.Method == http.MethodGet && tampered[key]
+					for rest := body; ; {
+						f, ok := nextFrame(rest)
+						if !ok {
+							break
+						}
+						if tampered[string(f.key)] && len(f.val) > 0 {
+							f.val[0] ^= 0x01
+						}
+						rest = rest[f.size:]
+					}
 					mu.Unlock()
-					if !bad {
-						inner.ServeHTTP(w, r)
-						return
-					}
-					// Serve the true CRC header over a bit-flipped body —
-					// exactly what a torn cache entry looks like on the wire.
-					val, ok := backing.Get(key)
-					if !ok {
-						http.Error(w, "miss", http.StatusNotFound)
-						return
-					}
-					w.Header().Set(storeCRCHeader, strconv.FormatUint(uint64(wireCRC(key, val)), 16))
-					mangled := append([]byte(nil), val...)
-					mangled[0] ^= 0x01
-					w.Write(mangled)
-				}))
-				t.Cleanup(srv.Close)
+					w.Write(body)
+				})
 				h, err := OpenHTTPStore(srv.URL, HTTPStoreOptions{})
 				if err != nil {
 					t.Fatal(err)
@@ -186,6 +181,12 @@ func TestStoreConformance(t *testing.T) {
 				t.Fatalf("overwrite get: %q, %v", got, ok)
 			}
 
+			// GetMany answers per key, in order, duplicates included.
+			got := s.GetMany([]string{key, testKey(99), key})
+			if len(got) != 3 || !bytes.Equal(got[0], val2) || got[1] != nil || !bytes.Equal(got[2], val2) {
+				t.Fatalf("GetMany = %q", got)
+			}
+
 			// Corruption is a miss, never an error — and other keys are
 			// unaffected.
 			victim, victimVal := testKey(2), []byte("victim value with unique bytes 0xDECAFBAD")
@@ -201,6 +202,9 @@ func TestStoreConformance(t *testing.T) {
 			}
 			if got, ok := s.Get(key); !ok || !bytes.Equal(got, val2) {
 				t.Fatalf("healthy key lost after corrupting another: %q, %v", got, ok)
+			}
+			if got := s.GetMany([]string{victim, key}); got[0] != nil || !bytes.Equal(got[1], val2) {
+				t.Fatalf("GetMany after corrupting %s: %q", victim, got)
 			}
 		})
 	}
@@ -330,38 +334,35 @@ func TestHTTPStoreRetries5xx(t *testing.T) {
 }
 
 // TestHTTPStoreTornResponseBody pins the torn-read path: a response
-// that dies mid-body (Content-Length promises more than arrives) is a
-// miss, never an error, and is counted as pipeline.http_torn.
+// that dies mid-entry (Content-Length promises more than arrives)
+// delivers the frames before the cut and misses the key it cut — never
+// an error, and not sent to the fallback — and is counted as
+// pipeline.http_torn.
 func TestHTTPStoreTornResponseBody(t *testing.T) {
 	backing := mustPack(t)
-	inner := NewStoreHandler(backing, telemetry.NewRegistry())
-	key, val := testKey(6), []byte("this body will be cut short on the wire")
-	if err := backing.Put(key, val); err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method == http.MethodGet && strings.HasSuffix(r.URL.Path, key) {
-			w.Header().Set(storeCRCHeader, strconv.FormatUint(uint64(wireCRC(key, val)), 16))
-			w.Header().Set("Content-Length", strconv.Itoa(len(val)))
-			w.Write(val[:len(val)/2]) // connection closes with bytes owed
-			return
-		}
-		inner.ServeHTTP(w, r)
-	}))
-	defer srv.Close()
-
-	h, err := OpenHTTPStore(srv.URL, fastHTTPOpts(nil))
+	keys := putAll(t, backing, "first", "second", "third")
+	srv := getManyServer(t, backing, func(w http.ResponseWriter, body []byte) {
+		w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+		w.Write(body[:len(body)-3]) // connection closes with bytes owed
+	})
+	fallback := mustPack(t)
+	putAll(t, fallback, "stale first", "stale second", "stale third")
+	h, err := OpenHTTPStore(srv.URL, fastHTTPOpts(fallback))
 	if err != nil {
 		t.Fatal(err)
 	}
 	reg := telemetry.NewRegistry()
 	h.SetTelemetry(reg)
 
-	if _, ok := h.Get(key); ok {
+	wantMany(t, h.GetMany(keys), "first", "second", "")
+	if _, ok := h.Get(keys[0]); ok {
 		t.Fatal("torn body served as a hit")
 	}
-	if n := reg.Counter("pipeline.http_torn").Value(); n != 1 {
-		t.Fatalf("http_torn = %d, want 1", n)
+	if n := reg.Counter("pipeline.http_torn").Value(); n != 2 {
+		t.Fatalf("http_torn = %d, want 2", n)
+	}
+	if n := reg.Counter("pipeline.http_fallback_gets").Value(); n != 0 {
+		t.Fatalf("a torn response fell back: http_fallback_gets = %d", n)
 	}
 }
 
@@ -434,4 +435,256 @@ func mustPack(t *testing.T) *PackStore {
 	}
 	t.Cleanup(func() { p.Close() })
 	return p
+}
+
+// getManyServer serves backing over the store protocol, letting mangle
+// rewrite each batch-get response body before it is sent.
+func getManyServer(t *testing.T, backing Store, mangle func(w http.ResponseWriter, body []byte)) *httptest.Server {
+	t.Helper()
+	inner := NewStoreHandler(backing, telemetry.NewRegistry())
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/v1/store/get" {
+			inner.ServeHTTP(w, r)
+			return
+		}
+		rec := httptest.NewRecorder()
+		inner.ServeHTTP(rec, r)
+		mangle(w, rec.Body.Bytes())
+	}))
+	t.Cleanup(srv.Close)
+	return srv
+}
+
+// putAll stores testKey(i) → vals[i] for every i.
+func putAll(t *testing.T, s Store, vals ...string) []string {
+	t.Helper()
+	keys := make([]string, len(vals))
+	for i, v := range vals {
+		keys[i] = testKey(100 + i)
+		if err := s.Put(keys[i], []byte(v)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return keys
+}
+
+// wantMany checks GetMany's answer key by key; "" means a miss.
+func wantMany(t *testing.T, got [][]byte, want ...string) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("GetMany returned %d values, want %d", len(got), len(want))
+	}
+	for i, w := range want {
+		if w == "" && got[i] != nil || w != "" && string(got[i]) != w {
+			t.Errorf("value %d = %q, want %q", i, got[i], w)
+		}
+	}
+}
+
+// TestHTTPStoreGetManyReadYourWrites: entries still in the write-behind
+// batch, or in a batch on the wire, answer GetMany without the server.
+func TestHTTPStoreGetManyReadYourWrites(t *testing.T) {
+	backing := mustPack(t)
+	inner := NewStoreHandler(backing, telemetry.NewRegistry())
+	shipping, release := make(chan struct{}), make(chan struct{})
+	var putDone sync.WaitGroup
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/store/batch" {
+			close(shipping)
+			<-release
+		}
+		inner.ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+	h, err := OpenHTTPStore(srv.URL, HTTPStoreOptions{FlushBytes: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.NewRegistry()
+	h.SetTelemetry(reg)
+
+	pend := putAll(t, h, "pending value")
+	wantMany(t, h.GetMany([]string{pend[0]}), "pending value")
+	if n := reg.Counter("pipeline.http_gets").Value(); n != 0 {
+		t.Fatalf("a pending hit went to the server: http_gets = %d", n)
+	}
+
+	// This Put crosses FlushBytes and ships the batch inline; the server
+	// holds the batch until released, so both entries are in flight.
+	big := strings.Repeat("x", 64)
+	putDone.Add(1)
+	go func() {
+		defer putDone.Done()
+		if err := h.Put(testKey(200), []byte(big)); err != nil {
+			t.Error(err)
+		}
+	}()
+	<-shipping
+	wantMany(t, h.GetMany([]string{pend[0], testKey(200)}), "pending value", big)
+	if n := reg.Counter("pipeline.http_gets").Value(); n != 0 {
+		t.Fatalf("an in-flight hit went to the server: http_gets = %d", n)
+	}
+	close(release)
+	putDone.Wait()
+	wantMany(t, h.GetMany([]string{pend[0], testKey(200)}), "pending value", big)
+	if n := reg.Counter("pipeline.http_hits").Value(); n != 2 {
+		t.Fatalf("http_hits = %d after the batch landed, want 2", n)
+	}
+}
+
+// TestHTTPStoreGetManyCorruptEntry: a frame that fails its CRC misses
+// its own key only.
+func TestHTTPStoreGetManyCorruptEntry(t *testing.T) {
+	backing := mustPack(t)
+	keys := putAll(t, backing, "first", "second", "third")
+	srv := getManyServer(t, backing, func(w http.ResponseWriter, body []byte) {
+		f, _ := nextFrame(body)
+		f, _ = nextFrame(body[f.size:])
+		f.val[0] ^= 0x01
+		w.Write(body)
+	})
+	h, err := OpenHTTPStore(srv.URL, fastHTTPOpts(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.NewRegistry()
+	h.SetTelemetry(reg)
+	wantMany(t, h.GetMany(keys), "first", "", "third")
+	if n := reg.Counter("pipeline.store_crc_errors").Value(); n != 1 {
+		t.Fatalf("store_crc_errors = %d, want 1", n)
+	}
+	if n := reg.Counter("pipeline.http_hits").Value(); n != 2 {
+		t.Fatalf("http_hits = %d, want 2", n)
+	}
+}
+
+// TestHTTPStoreGetManyServerDown: with the server unreachable, each key
+// goes to the fallback when there is one and misses when there is not.
+func TestHTTPStoreGetManyServerDown(t *testing.T) {
+	fallback := mustPack(t)
+	keys := putAll(t, fallback, "local")
+	keys = append(keys, testKey(300))
+	for _, fb := range []Store{nil, fallback} {
+		h, err := OpenHTTPStore("http://127.0.0.1:1", fastHTTPOpts(fb))
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := telemetry.NewRegistry()
+		h.SetTelemetry(reg)
+		got := h.GetMany(keys)
+		if fb == nil {
+			wantMany(t, got, "", "")
+		} else {
+			wantMany(t, got, "local", "")
+		}
+		if n := reg.Counter("pipeline.http_errors").Value(); n != 2 {
+			t.Fatalf("fallback %v: http_errors = %d, want one per key", fb != nil, n)
+		}
+		if n := reg.Histogram("pipeline.http_get_ns").Count(); n != 1 {
+			t.Fatalf("fallback %v: %d timed requests, want 1", fb != nil, n)
+		}
+	}
+}
+
+// TestHTTPStoreGetManyOmittedKeyFallback: a key the server does not
+// hold is an authoritative miss, which a fallback holding it answers.
+func TestHTTPStoreGetManyOmittedKeyFallback(t *testing.T) {
+	backing := mustPack(t)
+	remote := putAll(t, backing, "remote")
+	fallback := mustPack(t)
+	if err := fallback.Put(testKey(400), []byte("degraded earlier")); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(NewStoreHandler(backing, telemetry.NewRegistry()))
+	defer srv.Close()
+	h, err := OpenHTTPStore(srv.URL, fastHTTPOpts(fallback))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.NewRegistry()
+	h.SetTelemetry(reg)
+	wantMany(t, h.GetMany([]string{testKey(400), remote[0], testKey(401)}), "degraded earlier", "remote", "")
+	for name, want := range map[string]int64{
+		"pipeline.http_gets": 3, "pipeline.http_hits": 1, "pipeline.http_misses": 2,
+		"pipeline.http_fallback_gets": 1, "pipeline.http_errors": 0,
+	} {
+		if n := reg.Counter(name).Value(); n != want {
+			t.Errorf("%s = %d, want %d", name, n, want)
+		}
+	}
+}
+
+// TestStoreHandlerGetKeyCap: a batch get of more than maxGetKeys keys,
+// or of a malformed key, is a 400; one of exactly maxGetKeys is served.
+func TestStoreHandlerGetKeyCap(t *testing.T) {
+	backing := mustPack(t)
+	keys := putAll(t, backing, "capped")
+	srv := httptest.NewServer(NewStoreHandler(backing, telemetry.NewRegistry()))
+	defer srv.Close()
+	post := func(n int, extra string) (int, []byte) {
+		t.Helper()
+		body := strings.Repeat(keys[0]+"\n", n) + extra
+		resp, err := http.Post(srv.URL+"/v1/store/get", "text/plain", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var buf bytes.Buffer
+		buf.ReadFrom(resp.Body)
+		return resp.StatusCode, buf.Bytes()
+	}
+	code, body := post(maxGetKeys, "")
+	if code != http.StatusOK {
+		t.Fatalf("%d keys: status %d, want 200", maxGetKeys, code)
+	}
+	if f, ok := nextFrame(body); !ok || !f.intact() || string(f.val) != "capped" || len(body) != maxGetKeys*f.size {
+		t.Fatalf("%d keys: %d response bytes, want %d intact frames", maxGetKeys, len(body), maxGetKeys)
+	}
+	if code, _ := post(maxGetKeys+1, ""); code != http.StatusBadRequest {
+		t.Fatalf("%d keys: status %d, want 400", maxGetKeys+1, code)
+	}
+	if code, _ := post(1, "../etc/passwd\n"); code != http.StatusBadRequest {
+		t.Fatalf("bad key: status %d, want 400", code)
+	}
+}
+
+// TestStoreHandlerSingleKeyRoutes pins the single-key routes HTTPStore no
+// longer uses but older clients and tools do: PUT verifies a CRC header
+// when one is sent, GET returns the value with its CRC, and a miss is 404.
+func TestStoreHandlerSingleKeyRoutes(t *testing.T) {
+	srv := httptest.NewServer(NewStoreHandler(mustPack(t), telemetry.NewRegistry()))
+	defer srv.Close()
+	key, val := testKey(500), []byte("one value")
+	do := func(method, crc string, body []byte) *http.Response {
+		t.Helper()
+		req, err := http.NewRequest(method, srv.URL+"/v1/store/"+key, bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if crc != "" {
+			req.Header.Set(storeCRCHeader, crc)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { resp.Body.Close() })
+		return resp
+	}
+	crc := strconv.FormatUint(uint64(wireCRC(key, val)), 16)
+	if resp := do(http.MethodGet, "", nil); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET before PUT: status %d, want 404", resp.StatusCode)
+	}
+	if resp := do(http.MethodPut, "0", val); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("PUT with a wrong CRC: status %d, want 400", resp.StatusCode)
+	}
+	if resp := do(http.MethodPut, crc, val); resp.StatusCode != http.StatusNoContent {
+		t.Fatalf("PUT: status %d, want 204", resp.StatusCode)
+	}
+	resp := do(http.MethodGet, "", nil)
+	var got bytes.Buffer
+	got.ReadFrom(resp.Body)
+	if resp.StatusCode != http.StatusOK || !bytes.Equal(got.Bytes(), val) || resp.Header.Get(storeCRCHeader) != crc {
+		t.Fatalf("GET: status %d, body %q, CRC %q", resp.StatusCode, got.Bytes(), resp.Header.Get(storeCRCHeader))
+	}
 }

@@ -38,7 +38,8 @@ func waitDone(done <-chan struct{}, d time.Duration) bool {
 // while a batch is being written and fsynced, Puts neither wait for it nor
 // lose read-your-writes, a Get of an entry in the batch in flight is
 // served from memory, and Flush and Close wait for the commit before
-// returning — afterwards every entry is durable across a reopen.
+// returning — afterwards every entry is durable across a reopen. GetMany
+// reads the batch in flight, the pending tail and the segment alike.
 func TestPackCommitOffTheLock(t *testing.T) {
 	dir := t.TempDir()
 	// No size or interval commits: only the explicit barriers commit.
@@ -76,6 +77,9 @@ func TestPackCommitOffTheLock(t *testing.T) {
 	if v, ok := p.Get(testKey(2)); !ok || !bytes.Equal(v, pending) {
 		t.Fatal("entry put during a commit unreadable")
 	}
+	if vs := p.GetMany([]string{testKey(2), testKey(3), testKey(1)}); !bytes.Equal(vs[0], pending) || vs[1] != nil || !bytes.Equal(vs[2], inflight) {
+		t.Fatalf("GetMany during a commit = %q", vs)
+	}
 	if st := p.Stats(); st.Entries != 2 {
 		t.Fatalf("entries = %d during commit, want 2", st.Entries)
 	}
@@ -106,6 +110,9 @@ func TestPackCommitOffTheLock(t *testing.T) {
 		if v, ok := q.Get(testKey(i + 1)); !ok || !bytes.Equal(v, want) {
 			t.Fatalf("entry %d not durable after Flush + Close", i+1)
 		}
+	}
+	if vs := q.GetMany([]string{testKey(1), testKey(2)}); !bytes.Equal(vs[0], inflight) || !bytes.Equal(vs[1], pending) {
+		t.Fatalf("GetMany after reopen = %q", vs)
 	}
 }
 

@@ -46,9 +46,8 @@ import (
 //     flushes at every exit, cancellation included, so the cache is
 //     durable whenever the resume journal is.
 //
-// Entry layout (all integers big-endian):
-//
-//	uint32 crc32(key ‖ value) | uint16 len(key) | uint32 len(value) | key | value
+// Each entry is one frame (frame.go): uint32 crc32c(key ‖ value) |
+// uint16 len(key) | uint32 len(value) | key | value.
 //
 // Segments are named NNNNNN.seg with an 8-byte "sfspack1" header and
 // sealed at MaxSegmentBytes; NNNNNN.idx sidecars are written atomically
@@ -113,18 +112,13 @@ type PackOptions struct {
 }
 
 const (
-	packMagic     = "sfspack1"
-	packIdxMagic  = "sfspidx1"
-	packHeaderLen = 10 // crc32 + keyLen16 + valLen32
+	packMagic    = "sfspack1"
+	packIdxMagic = "sfspidx1"
 
 	defaultMaxSegmentBytes = 64 << 20
 	defaultFlushBytes      = 1 << 20
 	defaultFlushInterval   = 50 * time.Millisecond
 )
-
-// packCRC is Castagnoli — hardware-accelerated on amd64/arm64, so the
-// per-read verify costs far less than the syscalls it replaces.
-var packCRC = crc32.MakeTable(crc32.Castagnoli)
 
 // OpenPackStore opens (creating if needed) a packed segment store rooted
 // at dir, with default options.
@@ -301,33 +295,20 @@ func scanSegment(f *os.File, size int64) (map[string]packLoc, int64, error) {
 	if len(data) < len(packMagic) || string(data[:len(packMagic)]) != packMagic {
 		return locs, 0, nil // not even a header: treat as empty
 	}
-	off := int64(len(packMagic))
-	for off < size {
-		if size-off < packHeaderLen {
-			break // torn header
+	off := len(packMagic)
+	for off < len(data) {
+		f, ok := nextFrame(data[off:])
+		if !ok || !f.intact() {
+			break // torn, nonsense or corrupt entry: stop at the last good offset
 		}
-		h := data[off : off+packHeaderLen]
-		crc := binary.BigEndian.Uint32(h[0:4])
-		klen := int64(binary.BigEndian.Uint16(h[4:6]))
-		vlen := int64(binary.BigEndian.Uint32(h[6:10]))
-		if klen == 0 || off+packHeaderLen+klen+vlen > size {
-			break // torn or nonsense entry
+		locs[string(f.key)] = packLoc{
+			off:  int64(off + frameHeaderLen + len(f.key)),
+			vlen: uint32(len(f.val)),
+			crc:  f.crc,
 		}
-		key := data[off+packHeaderLen : off+packHeaderLen+klen]
-		val := data[off+packHeaderLen+klen : off+packHeaderLen+klen+vlen]
-		sum := crc32.Checksum(key, packCRC)
-		sum = crc32.Update(sum, packCRC, val)
-		if sum != crc {
-			break // corrupt entry: stop at the last good offset
-		}
-		locs[string(key)] = packLoc{
-			off:  off + packHeaderLen + klen,
-			vlen: uint32(vlen),
-			crc:  crc,
-		}
-		off += packHeaderLen + klen + vlen
+		off += f.size
 	}
-	return locs, off, nil
+	return locs, int64(off), nil
 }
 
 // Sidecar layout: "sfspidx1", uint64 covered segment size, uint32 count,
@@ -403,47 +384,72 @@ func (p *PackStore) readSidecar(id int, segSize int64) (map[string]packLoc, bool
 	return locs, true
 }
 
-// Get returns the bytes stored under key. Reads of already-committed
-// entries are one pread; reads of entries still in the group-commit
-// buffer are served from memory. Every read re-verifies the entry CRC —
-// a mismatch (bit rot, torn concurrent writer) is a miss, never an
-// error or a torn record.
+// Get returns the bytes stored under key: GetMany for one key.
 func (p *PackStore) Get(key string) ([]byte, bool) {
+	val := p.GetMany([]string{key})[0]
+	return val, val != nil
+}
+
+// GetMany returns the bytes stored under each key (nil on a miss), taking
+// the read lock once: under it every key's location is resolved and
+// entries still in the group-commit buffer are copied out (a commit only
+// recycles its batch, and Puts only grow the tail, under the write lock);
+// committed entries are then read outside it, one pread each. All values
+// share one buffer. Every read re-verifies the entry CRC — a mismatch
+// (bit rot, torn concurrent writer) is a miss, never an error or a torn
+// record.
+func (p *PackStore) GetMany(keys []string) [][]byte {
+	out := make([][]byte, len(keys))
+	locs := make([]packLoc, len(keys))
+	files := make([]*os.File, len(keys))
 	p.mu.RLock()
-	loc, ok := p.index[key]
-	if !ok || p.closed {
+	if p.closed {
 		p.mu.RUnlock()
-		return nil, false
+		return out
 	}
-	if loc.seg == p.active && loc.off >= p.flushedSize {
-		// In the batch being committed or still pending: copy out under
-		// the read lock (a commit only recycles its batch, and Puts only
-		// grow the tail, under the write lock).
-		start, buf := loc.off-p.flushedSize, p.inflight
-		if start >= int64(len(buf)) {
-			start, buf = start-int64(len(buf)), p.pending
+	var total int
+	for i, key := range keys {
+		if loc, ok := p.index[key]; ok {
+			locs[i] = loc
+			total += int(loc.vlen)
 		}
-		val := make([]byte, loc.vlen)
-		copy(val, buf[start:start+int64(loc.vlen)])
-		p.mu.RUnlock()
-		return p.verify(key, val, loc.crc)
 	}
-	f := p.files[loc.seg]
+	buf := make([]byte, total)
+	for i, loc := range locs {
+		if loc.seg == 0 { // segment ids start at 1: a miss
+			continue
+		}
+		val := buf[:loc.vlen:loc.vlen]
+		buf = buf[loc.vlen:]
+		if loc.seg == p.active && loc.off >= p.flushedSize {
+			start, tail := loc.off-p.flushedSize, p.inflight
+			if start >= int64(len(tail)) {
+				start, tail = start-int64(len(tail)), p.pending
+			}
+			copy(val, tail[start:])
+			out[i] = val
+		} else if f := p.files[loc.seg]; f != nil {
+			files[i], out[i] = f, val
+		}
+	}
 	p.mu.RUnlock()
-	if f == nil {
-		return nil, false
+	for i, val := range out {
+		if val == nil {
+			continue
+		}
+		if files[i] != nil {
+			if _, err := files[i].ReadAt(val, locs[i].off); err != nil {
+				out[i] = nil
+				continue
+			}
+		}
+		out[i], _ = p.verify(keys[i], val, locs[i].crc)
 	}
-	val := make([]byte, loc.vlen)
-	if _, err := f.ReadAt(val, loc.off); err != nil {
-		return nil, false
-	}
-	return p.verify(key, val, loc.crc)
+	return out
 }
 
 func (p *PackStore) verify(key string, val []byte, crc uint32) ([]byte, bool) {
-	sum := crc32.Checksum([]byte(key), packCRC)
-	sum = crc32.Update(sum, packCRC, val)
-	if sum != crc {
+	if wireCRC(key, val) != crc {
 		p.mu.RLock()
 		tel := p.tel
 		p.mu.RUnlock()
@@ -461,7 +467,7 @@ func (p *PackStore) Put(key string, data []byte) error {
 	if len(key) == 0 || len(key) > 0xffff {
 		return fmt.Errorf("pipeline: pack store: bad key length %d", len(key))
 	}
-	entrySize := int64(packHeaderLen + len(key) + len(data))
+	entrySize := int64(frameHeaderLen + len(key) + len(data))
 	p.mu.Lock()
 	for !p.closed && p.needRotateLocked(entrySize) {
 		p.mu.Unlock()
@@ -474,19 +480,13 @@ func (p *PackStore) Put(key string, data []byte) error {
 		p.mu.Unlock()
 		return fmt.Errorf("pipeline: pack store: closed")
 	}
-	sum := crc32.Checksum([]byte(key), packCRC)
-	sum = crc32.Update(sum, packCRC, data)
-	off := p.tailLocked()
-	p.pending = binary.BigEndian.AppendUint32(p.pending, sum)
-	p.pending = binary.BigEndian.AppendUint16(p.pending, uint16(len(key)))
-	p.pending = binary.BigEndian.AppendUint32(p.pending, uint32(len(data)))
-	p.pending = append(p.pending, key...)
-	p.pending = append(p.pending, data...)
+	off, start := p.tailLocked(), len(p.pending)
+	p.pending = appendFrame(p.pending, key, data)
 	p.index[key] = packLoc{
 		seg:  p.active,
-		off:  off + packHeaderLen + int64(len(key)),
+		off:  off + frameHeaderLen + int64(len(key)),
 		vlen: uint32(len(data)),
-		crc:  sum,
+		crc:  binary.BigEndian.Uint32(p.pending[start:]), // as appendFrame wrote it
 	}
 	full := len(p.pending) >= p.opts.FlushBytes
 	p.mu.Unlock()

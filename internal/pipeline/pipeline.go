@@ -223,55 +223,71 @@ func Run(ctx context.Context, cfg Config) ([]Record, Stats, error) {
 	var failed atomic.Bool // first job error stops further work
 	var mu sync.Mutex      // st counters + log
 	lastProgress := start
-	// Workers claim job indices from a shared counter (as parallelEach
-	// does): no feeder goroutine, no per-job channel handoff. Once ctx is
-	// done or a job has failed no worker starts another job; completed
-	// records stay in the sink and cache.
+	// Workers claim windows of consecutive jobs from a shared counter
+	// (windowSize): no feeder goroutine, no per-job channel handoff, and
+	// one store lookup per window. Once ctx is done or a job has failed no
+	// worker starts another job; completed records stay in the sink and
+	// cache.
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var win window
 			for !failed.Load() && ctx.Err() == nil {
-				j := int(next.Add(1)) - 1
-				if j >= len(jobs) {
+				lo := int(next.Load())
+				if lo >= len(jobs) {
 					return
 				}
-				jobStart := time.Now()
-				rec, hit, skipped, err := runJob(ctx, cfg, chk, tel, cfg.Scripts[jobs[j]], keys[jobs[j]])
-				records[j], errs[j] = rec, err
-				if err != nil {
-					failed.Store(true)
+				hi := lo + windowSize(lo, len(jobs), workers)
+				if !next.CompareAndSwap(int64(lo), int64(hi)) {
 					continue
 				}
-				tel.Histogram("pipeline.job_ns").ObserveSince(jobStart)
-				mu.Lock()
-				switch {
-				case skipped:
-					st.SinkSkipped++
-					tel.Counter("pipeline.resumed").Inc()
-				case hit:
-					st.CacheHits++
-					tel.Counter("pipeline.cache_hits").Inc()
-				default:
-					st.Executed++
-					tel.Counter("pipeline.executed").Inc()
-				}
-				if !rec.Accepted {
-					st.Rejected++
-					tel.Counter("pipeline.rejected").Inc()
-				}
-				if cfg.Observe != nil {
-					cfg.Observe(rec)
-				}
-				if cfg.Log != nil {
-					if now := time.Now(); now.Sub(lastProgress) >= progressInterval {
-						lastProgress = now
-						logProgress(cfg.Log, cfg.Name, st, now.Sub(start))
+				win.fill(cfg, tel, keys, jobs[lo:hi], records[lo:hi])
+				for j := lo; j < hi && !failed.Load() && ctx.Err() == nil; j++ {
+					jobStart := time.Now()
+					var rec Record
+					var hit, skipped bool
+					var err error
+					if win.resumed[j-lo] {
+						rec, skipped = records[j], true
+					} else {
+						rec, hit, err = runJob(ctx, cfg, chk, tel, cfg.Scripts[jobs[j]], keys[jobs[j]], win.vals[j-lo])
 					}
+					records[j], errs[j] = rec, err
+					if err != nil {
+						failed.Store(true)
+						continue
+					}
+					tel.Histogram("pipeline.job_ns").ObserveSince(jobStart)
+					mu.Lock()
+					switch {
+					case skipped:
+						st.SinkSkipped++
+						tel.Counter("pipeline.resumed").Inc()
+					case hit:
+						st.CacheHits++
+						tel.Counter("pipeline.cache_hits").Inc()
+					default:
+						st.Executed++
+						tel.Counter("pipeline.executed").Inc()
+					}
+					if !rec.Accepted {
+						st.Rejected++
+						tel.Counter("pipeline.rejected").Inc()
+					}
+					if cfg.Observe != nil {
+						cfg.Observe(rec)
+					}
+					if cfg.Log != nil {
+						if now := time.Now(); now.Sub(lastProgress) >= progressInterval {
+							lastProgress = now
+							logProgress(cfg.Log, cfg.Name, st, now.Sub(start))
+						}
+					}
+					mu.Unlock()
 				}
-				mu.Unlock()
 			}
 		}()
 	}
@@ -309,6 +325,65 @@ func Run(ctx context.Context, cfg Config) ([]Record, Stats, error) {
 	return records, st, nil
 }
 
+// maxWindow bounds the jobs one worker claims at a time, and so the keys
+// of one store lookup.
+const maxWindow = 256
+
+// windowSize is how many jobs a worker claims when the next unclaimed job
+// is lo of n: at most maxWindow; growing from 1 at the head, so the first
+// verdict waits on a one-key lookup; and shrinking towards the tail, so
+// no worker is left finishing a long window alone. The sequence of
+// windows depends only on n and workers, so the number of store lookups
+// of a run is a deterministic work counter.
+func windowSize(lo, n, workers int) int {
+	return min(maxWindow, 1+lo/8, 1+(n-lo)/(2*workers))
+}
+
+// window is one worker's claimed jobs between their lookup and their
+// runs, reused from window to window.
+type window struct {
+	// resumed[i] marks the window's i-th job as resumed from the sink;
+	// vals[i] is the store value of any other job (nil on a miss).
+	resumed []bool
+	vals    [][]byte
+	keys    []string // scratch: the keys looked up in the store
+	at      []int    // scratch: the window index of each of keys
+}
+
+// fill resolves the window of jobs whose records slots are recs: the
+// sink's resumed records go straight into recs, and one Cache.getMany
+// fetches the store values of the rest — one lock or one round trip for
+// the whole window, observed once as pipeline.cache_lookup_ns.
+func (w *window) fill(cfg Config, tel *telemetry.Registry, keys []string, jobs []int, recs []Record) {
+	n := len(jobs)
+	if w.vals == nil {
+		w.resumed, w.vals = make([]bool, maxWindow), make([][]byte, maxWindow)
+	}
+	w.resumed, w.vals = w.resumed[:n], w.vals[:n]
+	clear(w.vals)
+	w.keys, w.at = w.keys[:0], w.at[:0]
+	for i, j := range jobs {
+		w.resumed[i] = false
+		if cfg.Sink != nil {
+			if rec, ok := cfg.Sink.Lookup(keys[j]); ok {
+				rec.Cached = true
+				recs[i], w.resumed[i] = rec, true
+				continue
+			}
+		}
+		w.keys = append(w.keys, keys[j])
+		w.at = append(w.at, i)
+	}
+	if cfg.Cache == nil || len(w.keys) == 0 {
+		return
+	}
+	lookupStart := time.Now()
+	for k, val := range cfg.Cache.getMany(w.keys) {
+		w.vals[w.at[k]] = val
+	}
+	tel.Histogram("pipeline.cache_lookup_ns").ObserveSince(lookupStart)
+}
+
 // logProgress emits one rate-limited in-flight status line: completion,
 // work split, cache hit rate over the jobs resolved so far, throughput
 // and a naive remaining/rate ETA.
@@ -325,33 +400,29 @@ func logProgress(w io.Writer, name string, st Stats, elapsed time.Duration) {
 		100*float64(cached)/float64(done), rate, eta)
 }
 
-// runJob resolves one script to its record: sink journal first, then the
-// result cache, then a real execute-and-check (whose record is written
-// back to both). With cfg.Cov the execute-and-check runs inside a
-// coverage-collection window attributed to that registry. Phase latencies
-// (cache lookup/store, execute, check, journal append) land in tel's
-// histograms.
-func runJob(ctx context.Context, cfg Config, chk *checker.Checker, tel *telemetry.Registry, s *trace.Script, key string) (rec Record, hit, skipped bool, err error) {
-	if cfg.Sink != nil {
-		if rec, ok := cfg.Sink.Lookup(key); ok {
-			rec.Cached = true
-			return rec, false, true, nil
-		}
-	}
+// runJob resolves one script that the sink did not resume to its record:
+// from val, the value its window's lookup found in the result cache (nil
+// on a miss), or else by a real execute-and-check whose record is written
+// back to the cache and the journal. With cfg.Cov the execute-and-check
+// runs inside a coverage-collection window attributed to that registry.
+// Phase latencies (cache store, execute, check, journal append) land in
+// tel's histograms.
+func runJob(ctx context.Context, cfg Config, chk *checker.Checker, tel *telemetry.Registry, s *trace.Script, key string, val []byte) (rec Record, hit bool, err error) {
 	if cfg.Cache != nil {
-		lookupStart := time.Now()
-		rec, line, ok := cfg.Cache.getRecord(key)
-		tel.Histogram("pipeline.cache_lookup_ns").ObserveSince(lookupStart)
-		if ok {
-			// The stored line IS the canonical journal encoding (Cached is
-			// json:"-"), so a hit journals without a re-marshal.
-			if cfg.Sink != nil {
-				if err := cfg.Sink.AppendEncoded(rec, line); err != nil {
-					return rec, true, false, err
+		// An undecodable value is a miss, like an absent one: the fresh
+		// record overwrites it.
+		if val != nil {
+			if rec, line, ok := decodeRecord(val, key); ok {
+				// The stored line IS the canonical journal encoding (Cached
+				// is json:"-"), so a hit journals without a re-marshal.
+				if cfg.Sink != nil {
+					if err := cfg.Sink.AppendEncoded(rec, line); err != nil {
+						return rec, true, err
+					}
 				}
+				rec.Cached = true
+				return rec, true, nil
 			}
-			rec.Cached = true
-			return rec, true, false, nil
 		}
 		tel.Counter("pipeline.cache_misses").Inc()
 	}
@@ -383,11 +454,11 @@ func runJob(ctx context.Context, cfg Config, chk *checker.Checker, tel *telemetr
 		cov.Guard(work)
 	}
 	if err != nil {
-		return Record{}, false, false, fmt.Errorf("pipeline: %s: %w", s.Name, err)
+		return Record{}, false, fmt.Errorf("pipeline: %s: %w", s.Name, err)
 	}
 	rec = NewRecord(key, t, res, checked)
 	if cfg.Cache == nil && cfg.Sink == nil {
-		return rec, false, false, nil
+		return rec, false, nil
 	}
 	// One encoding serves the store and the journal (and, through the
 	// journal, Finalize).
@@ -397,7 +468,7 @@ func runJob(ctx context.Context, cfg Config, chk *checker.Checker, tel *telemetr
 		line, err = cfg.Cache.putRecord(&rec)
 		tel.Histogram("pipeline.cache_store_ns").ObserveSince(storeStart)
 		if err != nil {
-			return rec, false, false, err
+			return rec, false, err
 		}
 		tel.Counter("pipeline.cache_stores").Inc()
 	} else {
@@ -405,8 +476,8 @@ func runJob(ctx context.Context, cfg Config, chk *checker.Checker, tel *telemetr
 	}
 	if cfg.Sink != nil {
 		if err := cfg.Sink.AppendEncoded(rec, line); err != nil {
-			return rec, false, false, err
+			return rec, false, err
 		}
 	}
-	return rec, false, false, nil
+	return rec, false, nil
 }

@@ -1,14 +1,17 @@
 package pipeline
 
 import (
+	"bytes"
 	"context"
-
 	"fmt"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"repro/internal/fsimpl"
+	"repro/internal/telemetry"
+	"repro/internal/testgen"
 	"repro/internal/trace"
 	"repro/internal/types"
 )
@@ -319,4 +322,60 @@ func TestRecordResultRoundTrip(t *testing.T) {
 		len(r.Errors) != len(rec.Errors) {
 		t.Errorf("Result() round-trip mismatch: %+v vs %+v", r, rec)
 	}
+}
+
+// TestRemoteWarmRoundTrips pins the windowed read path end to end: the
+// generated suite, warm over a store daemon, journals the same bytes as a
+// local warm run, executes nothing, and fetches its records in at most one
+// store round trip per 32 jobs.
+func TestRemoteWarmRoundTrips(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the generated suite three times")
+	}
+	scripts := testgen.Generate().Scripts
+	_, hashes := EncodeSuite(scripts)
+	hashOf := make(map[*trace.Script]string, len(scripts))
+	for i, s := range scripts {
+		hashOf[s] = hashes[i]
+	}
+	dir := t.TempDir()
+	backing, err := OpenPackStore(filepath.Join(dir, "store"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer backing.Close()
+	cfg := testConfig(scripts)
+	cfg.HashScript = func(s *trace.Script) string { return hashOf[s] }
+	cfg.Cache = NewCache(backing)
+	finalizedRun(t, cfg, filepath.Join(dir, "cold.jsonl"), false)
+	finalizedRun(t, cfg, filepath.Join(dir, "warm.jsonl"), false)
+	warm := readFile(t, filepath.Join(dir, "warm.jsonl"))
+	if !bytes.Equal(readFile(t, filepath.Join(dir, "cold.jsonl")), warm) {
+		t.Fatal("local warm run differs from the cold run")
+	}
+
+	srv := httptest.NewServer(NewStoreHandler(backing, telemetry.NewRegistry()))
+	defer srv.Close()
+	remote, err := OpenHTTPStore(srv.URL, HTTPStoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer remote.Close()
+	reg := telemetry.NewRegistry()
+	cfg.Cache, cfg.Tel = NewCache(remote), reg
+	finalizedRun(t, cfg, filepath.Join(dir, "remote.jsonl"), false)
+	if !bytes.Equal(readFile(t, filepath.Join(dir, "remote.jsonl")), warm) {
+		t.Fatal("remote warm run differs from the local warm run")
+	}
+	if n := reg.Counter("pipeline.executed").Value(); n != 0 {
+		t.Fatalf("remote warm run executed %d traces", n)
+	}
+	if n := reg.Counter("pipeline.http_hits").Value(); n != int64(len(scripts)) {
+		t.Fatalf("http_hits = %d, want one per job (%d)", n, len(scripts))
+	}
+	trips := reg.Histogram("pipeline.http_get_ns").Count()
+	if trips == 0 || trips > int64(len(scripts)/32) {
+		t.Fatalf("%d store round trips for %d jobs, want at most %d", trips, len(scripts), len(scripts)/32)
+	}
+	t.Logf("%d jobs in %d store round trips", len(scripts), trips)
 }

@@ -3,21 +3,27 @@ package pipeline
 import "repro/internal/telemetry"
 
 // Store is the persistence seam under the result cache: a flat
-// content-addressed byte store keyed by hex digest strings. Two local
+// content-addressed byte store keyed by hex digest strings. Three
 // implementations exist — PackStore (append-only pack segments with
-// group-commit durability, the default) and DirStore (one file per key,
-// the v1 layout, kept for compatibility and read-through migration) —
-// and the interface is deliberately narrow enough that a remote store
-// (HTTP, S3) can plug in behind the same Cache facade for a shared
-// fleet-wide cache.
+// group-commit durability, the default), DirStore (one file per key, the
+// v1 layout, kept for compatibility and read-through migration) and
+// HTTPStore (an sfs-serve daemon's store over the wire, the shared
+// fleet-wide cache) — all behind the same Cache facade.
 //
-// Implementations must be safe for concurrent use: the pipeline's worker
-// pool calls Get and Put from many goroutines at once.
+// The pipeline reads through GetMany, one call per window of jobs, so a
+// store pays its per-lookup cost (a lock, a round trip) once per window;
+// single-key Get serves everything else. Implementations must be safe for
+// concurrent use: the pipeline's worker pool calls GetMany and Put from
+// many goroutines at once.
 type Store interface {
 	// Get returns the bytes stored under key; ok is false on a miss.
 	// Unreadable, torn or checksum-failing entries are misses — the
 	// writer will overwrite them — never errors.
 	Get(key string) ([]byte, bool)
+	// GetMany is Get for a window of keys: out[i] holds the bytes stored
+	// under keys[i], nil on a miss (a hit is never nil, even when empty),
+	// with every miss rule of Get. The values may share one buffer.
+	GetMany(keys []string) [][]byte
 	// Put stores data under key. A Put is immediately visible to Get on
 	// the same store, but durability may be deferred until the next
 	// Flush (the group-commit contract). Overwriting a key is allowed

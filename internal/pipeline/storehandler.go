@@ -1,7 +1,7 @@
 package pipeline
 
 import (
-	"encoding/binary"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -21,12 +21,16 @@ import (
 //
 //	GET  /v1/store/{key}   value bytes, X-Sfs-Crc32c: crc32c(key‖value)
 //	PUT  /v1/store/{key}   store one value (CRC header verified if sent)
-//	POST /v1/store/batch   framed entries (pack entry layout), then Flush
+//	POST /v1/store/get     newline-separated keys (at most 4096) → frames
+//	                       for the hits only, in request order
+//	POST /v1/store/batch   frames to store, then Flush
 //	POST /v1/store/flush   group-commit barrier
 //	GET  /v1/store/stats   StoreStats JSON
 //
-// Keys are hex digests (the cache-key contract); anything else is 400,
-// which also keeps path traversal out of the namespace.
+// HTTPStore reads with the batch get; the single-key routes serve other
+// tools and clients that predate it. Frames are the pack entry layout
+// (frame.go). Keys are hex digests (the cache-key contract); anything
+// else is 400, which also keeps path traversal out of the namespace.
 type StoreHandler struct {
 	store Store
 	tel   *telemetry.Registry
@@ -36,6 +40,10 @@ type StoreHandler struct {
 func NewStoreHandler(store Store, reg *telemetry.Registry) *StoreHandler {
 	return &StoreHandler{store: store, tel: telemetry.Or(reg)}
 }
+
+// storeCRCHeader carries the crc32c(key‖value) checksum beside a single
+// value on the wire, both ways.
+const storeCRCHeader = "X-Sfs-Crc32c"
 
 // maxStoreValueBytes bounds one uploaded value (and one whole batch);
 // records and generation blobs are far below it.
@@ -53,6 +61,8 @@ func (sh *StoreHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case path == "flush" && r.Method == http.MethodPost:
 		sh.flush(w)
+	case path == "get" && r.Method == http.MethodPost:
+		sh.getMany(w, r)
 	case path == "batch" && r.Method == http.MethodPost:
 		sh.batch(w, r)
 	case path == "stats" && r.Method == http.MethodGet:
@@ -94,6 +104,62 @@ func (sh *StoreHandler) get(w http.ResponseWriter, key string) {
 	w.Write(val)
 }
 
+// maxGetKeyBytes bounds a batch get's request body: maxGetKeys keys of
+// the longest length isStoreKey accepts, one newline each.
+const maxGetKeyBytes = maxGetKeys * 129
+
+// getMany answers a batch get: one GetMany over the listed keys, and a
+// response of frames for the hits, in request order. The response stops
+// before it would outgrow maxStoreValueBytes; the keys it leaves out are
+// misses to the client, as any omitted key is.
+func (sh *StoreHandler) getMany(w http.ResponseWriter, r *http.Request) {
+	body, err := io.ReadAll(io.LimitReader(r.Body, maxGetKeyBytes+1))
+	if err != nil {
+		http.Error(w, "torn body", http.StatusBadRequest)
+		return
+	}
+	var keys []string
+	for len(body) > 0 {
+		line := body
+		if i := bytes.IndexByte(body, '\n'); i >= 0 {
+			line, body = body[:i], body[i+1:]
+		} else {
+			body = nil
+		}
+		key := string(line)
+		if !isStoreKey(key) {
+			http.Error(w, fmt.Sprintf("bad key %q", key), http.StatusBadRequest)
+			return
+		}
+		if len(keys) == maxGetKeys {
+			http.Error(w, fmt.Sprintf("more than %d keys", maxGetKeys), http.StatusBadRequest)
+			return
+		}
+		keys = append(keys, key)
+	}
+	sh.tel.Counter("pipeline.store_http_gets").Add(int64(len(keys)))
+	vals := sh.store.GetMany(keys)
+	size := 0
+	for i, val := range vals {
+		if val != nil {
+			size += frameHeaderLen + len(keys[i]) + len(val)
+		}
+	}
+	resp := make([]byte, 0, min(size, maxStoreValueBytes))
+	for i, val := range vals {
+		if val == nil {
+			continue
+		}
+		if len(resp)+frameHeaderLen+len(keys[i])+len(val) > maxStoreValueBytes {
+			break
+		}
+		resp = appendFrame(resp, keys[i], val)
+	}
+	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Header().Set("Content-Length", strconv.Itoa(len(resp)))
+	w.Write(resp)
+}
+
 func (sh *StoreHandler) put(w http.ResponseWriter, r *http.Request, key string) {
 	val, err := io.ReadAll(io.LimitReader(r.Body, maxStoreValueBytes+1))
 	if err != nil {
@@ -119,9 +185,9 @@ func (sh *StoreHandler) put(w http.ResponseWriter, r *http.Request, key string) 
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// batch decodes a framed entry stream (the pack entry layout), verifies
-// every CRC, stores all entries and flushes — one durable round trip
-// per client write-behind batch. Any malformed or CRC-failing entry
+// batch decodes a sequence of frames, verifies every CRC, stores all
+// entries and flushes — one durable round trip per client write-behind
+// batch. Any malformed or CRC-failing entry
 // fails the whole batch with 400 before anything of it is trusted;
 // batches are idempotent (same keys, same bytes), so the client simply
 // retries.
@@ -135,39 +201,26 @@ func (sh *StoreHandler) batch(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "batch too large", http.StatusRequestEntityTooLarge)
 		return
 	}
-	type entry struct {
-		key string
-		val []byte
-	}
-	var entries []entry
-	for off := 0; off < len(body); {
-		if len(body)-off < packHeaderLen {
-			http.Error(w, "torn batch entry header", http.StatusBadRequest)
-			return
-		}
-		crc := binary.BigEndian.Uint32(body[off : off+4])
-		klen := int(binary.BigEndian.Uint16(body[off+4 : off+6]))
-		vlen := int(binary.BigEndian.Uint32(body[off+6 : off+10]))
-		off += int(packHeaderLen)
-		if klen == 0 || off+klen+vlen > len(body) {
+	var entries []frame
+	for len(body) > 0 {
+		f, ok := nextFrame(body)
+		if !ok {
 			http.Error(w, "torn batch entry", http.StatusBadRequest)
 			return
 		}
-		key := string(body[off : off+klen])
-		val := body[off+klen : off+klen+vlen]
-		off += klen + vlen
-		if !isStoreKey(key) {
-			http.Error(w, fmt.Sprintf("bad key %q", key), http.StatusBadRequest)
+		body = body[f.size:]
+		if !isStoreKey(string(f.key)) {
+			http.Error(w, fmt.Sprintf("bad key %q", f.key), http.StatusBadRequest)
 			return
 		}
-		if wireCRC(key, val) != crc {
+		if !f.intact() {
 			http.Error(w, "crc mismatch in batch", http.StatusBadRequest)
 			return
 		}
-		entries = append(entries, entry{key: key, val: val})
+		entries = append(entries, f)
 	}
 	for _, e := range entries {
-		if err := sh.store.Put(e.key, e.val); err != nil {
+		if err := sh.store.Put(string(e.key), e.val); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}

@@ -25,7 +25,9 @@ type (
 	// ResultStore is the pluggable persistence backend under ResultCache
 	// (see WithStore): PackStore — packed append-only segments with
 	// group-commit durability, the default — or DirStore, the v1
-	// file-per-key layout kept for compatibility.
+	// file-per-key layout kept for compatibility. The pipeline reads it a
+	// window of jobs at a time (GetMany), so a backend pays its per-lookup
+	// cost once per window.
 	ResultStore = pipeline.Store
 	// StoreStats summarises a store's contents (Session.CacheStats,
 	// sfs-run -cache-stats).
