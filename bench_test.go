@@ -15,6 +15,7 @@ package sibylfs
 
 import (
 	"bufio"
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -24,6 +25,7 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/checker"
 	"repro/internal/osspec"
+	"repro/internal/pipeline"
 	"repro/internal/types"
 )
 
@@ -38,17 +40,13 @@ var benchOnce struct {
 func benchData(b *testing.B) ([]*Script, []*Trace) {
 	b.Helper()
 	benchOnce.Do(func() {
-		suite := Generate()
+		suite := generate(b, (*Session).Generate)
 		var sel []*Script
 		for i := 0; i < len(suite) && len(sel) < 2000; i += len(suite)/2000 + 1 {
 			sel = append(sel, suite[i])
 		}
-		traces, err := Execute(sel, MemFS(LinuxProfile("ext4")), 0)
-		if err != nil {
-			panic(err)
-		}
 		benchOnce.scripts = sel
-		benchOnce.traces = traces
+		benchOnce.traces = execute(b, New(), sel, MemFS(LinuxProfile("ext4")))
 	})
 	return benchOnce.scripts, benchOnce.traces
 }
@@ -73,11 +71,10 @@ func BenchmarkTable71CheckSuite(b *testing.B) {
 func BenchmarkTable71ExecuteSuite(b *testing.B) {
 	scripts, _ := benchData(b)
 	factory := MemFS(LinuxProfile("ext4"))
+	s := New()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Execute(scripts, factory, 0); err != nil {
-			b.Fatal(err)
-		}
+		execute(b, s, scripts, factory)
 	}
 	b.StopTimer()
 	perSec := float64(len(scripts)) * float64(b.N) / b.Elapsed().Seconds()
@@ -88,7 +85,7 @@ func BenchmarkTable71ExecuteSuite(b *testing.B) {
 // paper's naive single-threaded HTML generator takes 48 s for a run).
 func BenchmarkTable71RenderHTML(b *testing.B) {
 	_, traces := benchData(b)
-	results := Check(DefaultSpec(), traces, 0)
+	results := check(b, New(), traces)
 	sum := analysis.Summarise("bench", traces, results)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -128,11 +125,7 @@ func nondetTrace(b *testing.B) *Trace {
 	if err != nil {
 		b.Fatal(err)
 	}
-	tr, err := ExecuteOne(s, MemFS(LinuxProfile("ext4")))
-	if err != nil {
-		b.Fatal(err)
-	}
-	return tr
+	return execute(b, New(), []*Script{s}, MemFS(LinuxProfile("ext4")))[0]
 }
 
 func itoa(n int) string {
@@ -168,12 +161,9 @@ func BenchmarkTable3StateSetCheck(b *testing.B) {
 // Complements BenchmarkTable3StateSetCheck, whose nondeterminism is
 // readdir-driven and single-process.
 func BenchmarkCheckConcurrent(b *testing.B) {
-	scripts := GenerateConcurrent()
-	traces, err := ExecuteConcurrent(scripts, MemFS(LinuxProfile("ext4")),
+	scripts := generate(b, (*Session).GenerateConcurrent)
+	traces := executeConcurrent(b, New(), scripts, MemFS(LinuxProfile("ext4")),
 		ConcurrentOptions{Seeded: true, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
 	c := checker.New(DefaultSpec())
 	peak := 0
 	b.ResetTimer()
@@ -386,7 +376,7 @@ func BenchmarkPipelineCold(b *testing.B) {
 	sel := scripts[:500]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, st, err := RunPipeline(PipelineConfig{
+		_, st, err := pipeline.Run(context.Background(), PipelineConfig{
 			Name: "bench-cold", Scripts: sel,
 			Factory: MemFS(LinuxProfile("ext4")), FSName: "ext4",
 			Spec: DefaultSpec(),
@@ -414,12 +404,12 @@ func BenchmarkPipelineWarm(b *testing.B) {
 		Factory: MemFS(LinuxProfile("ext4")), FSName: "ext4",
 		Spec: DefaultSpec(), Cache: cache,
 	}
-	if _, _, err := RunPipeline(cfg); err != nil { // fill the cache
+	if _, _, err := pipeline.Run(context.Background(), cfg); err != nil { // fill the cache
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, st, err := RunPipeline(cfg)
+		_, st, err := pipeline.Run(context.Background(), cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -437,11 +427,10 @@ func BenchmarkSpecFSExecute(b *testing.B) {
 	scripts, _ := benchData(b)
 	sel := scripts[:200]
 	factory := SpecFS("specfs", DefaultSpec())
+	s := New()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Execute(sel, factory, 0); err != nil {
-			b.Fatal(err)
-		}
+		execute(b, s, sel, factory)
 	}
 	b.StopTimer()
 	perSec := float64(len(sel)) * float64(b.N) / b.Elapsed().Seconds()

@@ -34,8 +34,11 @@ The daemon serves, on -addr:
   GET  /v1/jobs/{id}/records   NDJSON record stream (live, then finalized)
   GET  /v1/jobs/{id}/stats     the job's isolated telemetry snapshot
   POST /v1/jobs/{id}/cancel    cooperative cancel
-  GET|PUT /v1/store/{key}      the shared result store (CRC-verified)
-  POST /v1/store/get           many keys in one round trip
+  POST /v1/store/get           the shared result store: many keys in one
+                               round trip (CRC-verified frames)
+  POST /v1/store/batch         store CRC-verified frames, then flush
+  POST /v1/store/flush         the store's group-commit barrier
+  GET  /v1/store/stats         the store's contents
   GET  /v1/healthz             liveness probe
 
 SIGINT/SIGTERM drain gracefully: running jobs cancel cooperatively, their

@@ -58,12 +58,9 @@ func crashGoldenFactory() Factory {
 }
 
 func TestCrashGolden(t *testing.T) {
-	scripts := GenerateCrash()
-	traces, err := Execute(scripts, crashGoldenFactory(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	results := Check(crashGoldenSpec(), traces, 0)
+	scripts := generate(t, (*Session).GenerateCrash)
+	traces := execute(t, New(), scripts, crashGoldenFactory())
+	results := check(t, New(WithSpec(crashGoldenSpec())), traces)
 	got := &crashGoldenFile{}
 	h := sha256.New()
 	for i, r := range results {
@@ -134,7 +131,7 @@ func runCrashPipeline(t *testing.T, cacheDir string, noMemo bool) (string, Pipel
 	t.Helper()
 	cfg := pipeline.Config{
 		Name:         "crash golden",
-		Scripts:      GenerateCrash(),
+		Scripts:      generate(t, (*Session).GenerateCrash),
 		Factory:      crashGoldenFactory(),
 		FSName:       "ext4-crash",
 		Spec:         crashGoldenSpec(),
@@ -168,8 +165,8 @@ func runCrashPipeline(t *testing.T, cacheDir string, noMemo bool) (string, Pipel
 func TestCrashGoldenParity(t *testing.T) {
 	dir := t.TempDir()
 	coldSHA, coldStats := runCrashPipeline(t, dir, false)
-	if coldStats.Executed != len(GenerateCrash()) {
-		t.Fatalf("cold run executed %d of %d scripts", coldStats.Executed, len(GenerateCrash()))
+	if n := len(generate(t, (*Session).GenerateCrash)); coldStats.Executed != n {
+		t.Fatalf("cold run executed %d of %d scripts", coldStats.Executed, n)
 	}
 	warmSHA, warmStats := runCrashPipeline(t, dir, false)
 	if warmStats.Executed != 0 {

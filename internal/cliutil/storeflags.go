@@ -10,7 +10,7 @@ import (
 )
 
 // StoreUsage is the shared help text for the -store flag.
-const StoreUsage = "cache backend: pack (segment store), dir (v1 file-per-key), or an sfs-serve URL (http://HOST:PORT shared fleet store; -cache-dir becomes its local fallback)"
+const StoreUsage = "cache backend: pack (segment store) or an sfs-serve URL (http://HOST:PORT shared fleet store; -cache-dir becomes its local fallback)"
 
 // StoreOptions maps the shared -cache-dir/-store flags to session
 // options, identically across every cache-using tool (sfs-run,
@@ -18,7 +18,6 @@ const StoreUsage = "cache backend: pack (segment store), dir (v1 file-per-key), 
 //
 //   - "pack" (the default): a packed cache rooted at -cache-dir; no
 //     -cache-dir means no cache, as before.
-//   - "dir": the v1 file-per-key backend at -cache-dir.
 //   - "http://…" / "https://…": the shared store of the sfs-serve
 //     daemon at that URL — usable without any -cache-dir (the fleet
 //     cache is remote); with one, the local packed store becomes the
@@ -31,23 +30,14 @@ func StoreOptions(cacheDir, storeName string) ([]sibylfs.Option, error) {
 		}
 		return opts, nil
 	}
+	if storeName != "pack" && storeName != "" {
+		return nil, fmt.Errorf("unknown store backend %q (want pack or http://HOST:PORT)", storeName)
+	}
 	if cacheDir == "" {
-		// No cache root: pack/dir have nowhere to live. Matches the old
-		// per-tool behavior of ignoring -store without -cache-dir.
+		// No cache root: pack has nowhere to live, so no cache.
 		return nil, nil
 	}
-	switch storeName {
-	case "pack", "":
-		return []sibylfs.Option{sibylfs.WithCacheDir(cacheDir)}, nil
-	case "dir":
-		store, err := sibylfs.OpenDirStore(cacheDir)
-		if err != nil {
-			return nil, err
-		}
-		return []sibylfs.Option{sibylfs.WithStore(store)}, nil
-	default:
-		return nil, fmt.Errorf("unknown store backend %q (want pack, dir or http://HOST:PORT)", storeName)
-	}
+	return []sibylfs.Option{sibylfs.WithCacheDir(cacheDir)}, nil
 }
 
 // PrintCacheStats reports the session's result-store contents and the
@@ -63,10 +53,6 @@ func PrintCacheStats(tool string, session *sibylfs.Session) {
 	}
 	fmt.Printf("cache: backend=%s entries=%d segments=%d bytes=%d\n",
 		st.Backend, st.Entries, st.Segments, st.Bytes)
-	if fb, ok := session.CacheFallbackStats(); ok {
-		fmt.Printf("cache: v1 read-through fallback: entries=%d bytes=%d\n",
-			fb.Entries, fb.Bytes)
-	}
 	tel := telemetry.Default
 	hits := tel.Counter("pipeline.cache_hits").Value()
 	misses := tel.Counter("pipeline.cache_misses").Value()

@@ -9,50 +9,21 @@ import (
 // Cache is the content-addressed result store facade: typed record
 // accessors (GetRecord/PutRecord) and raw-blob accessors (GetRaw/PutRaw,
 // used by the generation cache and fuzz corpus seeding) over a pluggable
-// Store backend. Both pairs funnel through one internal get/put, so a
-// backend swap — PackStore, DirStore, some future remote store — changes
+// Store backend. Both pairs, and the pipeline's windowed reads, go
+// straight to the one Store, so a backend swap — PackStore, HTTPStore, some future remote store — changes
 // every consumer at once.
-//
-// A Cache opened on a v1 (file-per-key) directory read-through-migrates:
-// old entries are served from the DirStore fallback on a pack miss, and
-// every new write lands packed. No rewrite pass, no flag day — the v1
-// files simply stop growing.
 type Cache struct {
-	dir      string
-	store    Store
-	fallback Store // nil unless a v1 layout was detected at open
-	// framed selects the dual record encoding (see codec.go) for
-	// PutRecord. DirStore-backed caches write bare JSON — the dir layout
-	// is the v1 compatibility format and must stay byte-compatible with
-	// what a v1 reader expects. Reads accept both encodings regardless.
-	framed bool
+	dir   string
+	store Store
 }
 
 // OpenCache opens (creating if needed) a cache rooted at dir with the
-// default PackStore backend (segments live under dir/pack). If dir holds
-// a v1 file-per-key layout, those entries remain readable through a
-// DirStore fallback; new writes go to the pack.
+// default PackStore backend (segments live under dir/pack). Anything else
+// under dir — such as the fan-out tree of the retired file-per-key layout —
+// is ignored: the cache is lossy by contract, so a run over such a dir is
+// simply cold.
 func OpenCache(dir string) (*Cache, error) {
-	var fallback Store
-	if hasDirEntries(dir) {
-		d, err := OpenDirStore(dir)
-		if err != nil {
-			return nil, err
-		}
-		fallback = d
-	}
 	store, err := OpenPackStore(packDir(dir))
-	if err != nil {
-		return nil, err
-	}
-	return &Cache{dir: dir, store: store, fallback: fallback, framed: true}, nil
-}
-
-// OpenDirCache opens a cache forced onto the v1 file-per-key DirStore
-// backend — the compatibility path (sfs-run -store dir) and the
-// durability baseline in benchmarks.
-func OpenDirCache(dir string) (*Cache, error) {
-	store, err := OpenDirStore(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -60,16 +31,12 @@ func OpenDirCache(dir string) (*Cache, error) {
 }
 
 // NewCache wraps an explicit Store — the seam where an injected backend
-// (sibylfs.WithStore; later an HTTP/S3 store) enters the pipeline.
-// Records are stored framed unless the backend is a DirStore (which must
-// keep producing genuine v1 bytes).
+// (sibylfs.WithStore, an HTTPStore) enters the pipeline.
 func NewCache(store Store) *Cache {
-	_, isDir := store.(*DirStore)
-	return &Cache{store: store, framed: !isDir}
+	return &Cache{store: store}
 }
 
-// packDir is where OpenCache roots the pack segments, beside (never
-// colliding with) the two-hex-digit v1 fan-out directories.
+// packDir is where OpenCache roots the pack segments.
 func packDir(dir string) string {
 	return filepath.Join(dir, "pack")
 }
@@ -77,35 +44,8 @@ func packDir(dir string) string {
 // Dir returns the cache root ("" for a Cache over an injected Store).
 func (c *Cache) Dir() string { return c.dir }
 
-// Store returns the primary backend (the fallback, if any, is
-// read-only migration plumbing).
+// Store returns the backend.
 func (c *Cache) Store() Store { return c.store }
-
-// get is getMany for one key.
-func (c *Cache) get(key string) ([]byte, bool) {
-	val := c.getMany([]string{key})[0]
-	return val, val != nil
-}
-
-// getMany is the single read path under every typed accessor and the
-// pipeline's windows: one GetMany on the primary store, then the v1
-// read-through fallback for each of its misses.
-func (c *Cache) getMany(keys []string) [][]byte {
-	out := c.store.GetMany(keys)
-	if c.fallback != nil {
-		for i, val := range out {
-			if val == nil {
-				out[i], _ = c.fallback.Get(keys[i])
-			}
-		}
-	}
-	return out
-}
-
-// put is the single write path under every typed accessor.
-func (c *Cache) put(key string, data []byte) error {
-	return c.store.Put(key, data)
-}
 
 // GetRecord loads the cached record for key; ok is false on a miss.
 // Unreadable or unparsable entries count as misses (the writer will
@@ -118,10 +58,9 @@ func (c *Cache) GetRecord(key string) (Record, bool) {
 // getRecord also returns the record's canonical JSON line — exactly the
 // bytes PutRecord stored — so the pipeline's warm path can journal a hit
 // without re-encoding it (Sink.AppendEncoded). Framed entries (codec.go)
-// decode without a JSON parse at all; bare-JSON entries are parsed and
-// re-encoded.
+// decode without a JSON parse at all.
 func (c *Cache) getRecord(key string) (Record, []byte, bool) {
-	data, ok := c.get(key)
+	data, ok := c.store.Get(key)
 	if !ok {
 		return Record{}, nil, false
 	}
@@ -138,12 +77,8 @@ func (c *Cache) PutRecord(rec Record) error {
 // — the pipeline encodes each fresh record once and hands the same line
 // to the journal, which copies it.
 func (c *Cache) putRecord(rec *Record) ([]byte, error) {
-	if c.framed {
-		frame, line := frameRecord(rec)
-		return line, c.put(rec.Key, frame)
-	}
-	line := marshalRecord(rec)
-	return line, c.put(rec.Key, line)
+	frame, line := frameRecord(rec)
+	return line, c.store.Put(rec.Key, frame)
 }
 
 // GetRaw and PutRaw expose the store to sibling subsystems that cache
@@ -152,12 +87,12 @@ func (c *Cache) putRecord(rec *Record) ([]byte, error) {
 // generation cache stores rendered suites). Namespacing is the caller's
 // job: fold a distinct tag into the key's config hash.
 func (c *Cache) GetRaw(key string) ([]byte, bool) {
-	return c.get(key)
+	return c.store.Get(key)
 }
 
 // PutRaw stores raw bytes under key (see GetRaw).
 func (c *Cache) PutRaw(key string, data []byte) error {
-	return c.put(key, data)
+	return c.store.Put(key, data)
 }
 
 // Flush is the group-commit barrier: every completed Put is durable when
@@ -168,15 +103,9 @@ func (c *Cache) Flush() error {
 	return c.store.Flush()
 }
 
-// Close flushes and releases the backend (and the migration fallback).
+// Close flushes and releases the backend.
 func (c *Cache) Close() error {
-	err := c.store.Close()
-	if c.fallback != nil {
-		if ferr := c.fallback.Close(); err == nil {
-			err = ferr
-		}
-	}
-	return err
+	return c.store.Close()
 }
 
 // SetTelemetry attributes the backend's I/O metrics to reg, for stores
@@ -187,18 +116,7 @@ func (c *Cache) SetTelemetry(reg *telemetry.Registry) {
 	}
 }
 
-// Stats describes the primary backend's contents.
+// Stats describes the backend's contents.
 func (c *Cache) Stats() StoreStats {
 	return c.store.Stats()
-}
-
-// FallbackStats describes the v1 read-through fallback's contents; ok is
-// false when no v1 layout was detected at open. During a migration the
-// primary pack may be near-empty while the fallback holds the suite —
-// -cache-stats prints both so the picture is honest.
-func (c *Cache) FallbackStats() (StoreStats, bool) {
-	if c.fallback == nil {
-		return StoreStats{}, false
-	}
-	return c.fallback.Stats(), true
 }

@@ -2,31 +2,21 @@ package pipeline
 
 import "encoding/binary"
 
-// Framed record encoding — the value format pack-backed caches store
-// under a record key. A v1 entry is the record's canonical JSON line and
-// nothing else; decoding it costs a full JSON parse per warm hit, which
-// dominates the warm path once the store itself is down to one pread.
-// A framed entry carries both representations:
+// Framed record encoding — the value format the result cache stores
+// under a record key:
 //
 //	"sfsrec1\x00" | uint32 len(json) | json | binary fields
 //
-// so a warm hit decodes the flat binary fields (length-prefixed slices,
-// no parser) and journals the embedded canonical JSON verbatim
+// A warm hit decodes the flat binary fields (length-prefixed slices, no
+// parser) and journals the embedded canonical JSON verbatim
 // (Sink.AppendEncoded) — neither a JSON parse nor a re-marshal. The JSON
 // is authoritative for every external consumer (journal, Finalize,
 // ReadRecords) and is written as is: it is the canonical line
 // (appendRecord, byte-identical to json.Marshal(rec)) frameRecord wrote.
 // The binary part is a pure decode accelerator, and any damage to it
 // degrades to parsing the embedded JSON, never to a wrong record.
-//
-// DirStore-bound caches (OpenDirCache, sfs-run -store dir) keep writing
-// bare JSON: the dir layout IS the v1 compatibility format, and the
-// format-compat CI job relies on -store dir producing genuine v1 bytes.
-// Reads accept both formats wherever they come from, which is what makes
-// v1 read-through migration transparent.
 
-// recMagic tags a framed record entry. Bare-JSON entries start with '{',
-// so the tag can never be confused with a v1 record.
+// recMagic tags a framed record entry; a value without it is a miss.
 const recMagic = "sfsrec1\x00"
 
 // frameRecord encodes rec as a framed entry, writing its canonical JSON
@@ -78,14 +68,13 @@ func appendBytes32(buf, b []byte) []byte {
 	return append(buf, b...)
 }
 
-// decodeRecord decodes a stored record value in either format, returning
-// the record and its canonical JSON line. Unparsable data is a miss (ok
-// false) — the writer will overwrite it — never an error.
+// decodeRecord decodes a framed record value, returning the record and
+// its canonical JSON line. Anything else, and a frame whose embedded JSON
+// does not parse either, is a miss (ok false) — the writer will overwrite
+// it — never an error.
 func decodeRecord(data []byte, key string) (Record, []byte, bool) {
 	if len(data) < len(recMagic) || string(data[:len(recMagic)]) != recMagic {
-		// v1 entry: the value is a JSON line, from whatever writer filled
-		// the directory.
-		return parseRecordLine(data, key)
+		return Record{}, nil, false
 	}
 	d := decoder{buf: data[len(recMagic):]}
 	line := d.bytes32()
@@ -119,9 +108,9 @@ func decodeRecord(data []byte, key string) (Record, []byte, bool) {
 	return rec, line, true
 }
 
-// parseRecordLine parses a JSON record value stored under key and
-// re-encodes it, so the line handed on is canonical whatever produced
-// the stored bytes (the journal writes it verbatim).
+// parseRecordLine parses the JSON embedded in a damaged frame stored
+// under key and re-encodes it, so the line handed on is canonical (the
+// journal writes it verbatim).
 func parseRecordLine(data []byte, key string) (Record, []byte, bool) {
 	var rec Record
 	if err := unmarshalRecordLine(data, &rec); err != nil {
@@ -132,9 +121,8 @@ func parseRecordLine(data []byte, key string) (Record, []byte, bool) {
 }
 
 // decoder is a bounds-checked cursor over a framed entry; any overrun
-// sets failed instead of panicking (stores only ever hand us
-// CRC-verified bytes, but the fallback must hold for DirStore entries a
-// foreign writer damaged in place).
+// sets failed instead of panicking (a CRC proves the bytes are what some
+// writer stored, not that the writer framed them well).
 type decoder struct {
 	buf    []byte
 	failed bool

@@ -13,27 +13,9 @@ import (
 // TestCacheEntryPermissions pins the shared-artifact contract: entries
 // land world-readable (0644), not with os.CreateTemp's private 0600 —
 // a cache directory is meant to be shareable across users and CI stages.
-// Checked for both backends: DirStore's per-key files and PackStore's
-// segment and sidecar files.
+// Checked on PackStore's segment and sidecar files.
 func TestCacheEntryPermissions(t *testing.T) {
 	key := strings.Repeat("ab", 32)
-
-	dirDir := t.TempDir()
-	d, err := OpenDirStore(dirDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Put(key, []byte(`{"name":"x"}`)); err != nil {
-		t.Fatal(err)
-	}
-	info, err := os.Stat(d.path(key))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if perm := info.Mode().Perm(); perm != 0o644 {
-		t.Fatalf("dir store entry mode %o, want 644", perm)
-	}
-
 	packDir := t.TempDir()
 	p, err := OpenPackStore(packDir)
 	if err != nil {
@@ -78,15 +60,14 @@ func TestFinalizedSinkPermissions(t *testing.T) {
 func TestOrphanSweepOnOpen(t *testing.T) {
 	dir := t.TempDir()
 
-	// Cache orphans live in the two-hex-digit fan-out subdirectories.
-	sub := filepath.Join(dir, "ab")
-	if err := os.MkdirAll(sub, 0o755); err != nil {
-		t.Fatal(err)
-	}
+	// Cache orphans (.tmp-*, from a kill mid-sidecar write) live in the
+	// pack directory beside the segments.
+	sub := packDir(dir)
+	packFill(t, sub, 1)
 	old := filepath.Join(sub, ".tmp-dead123")
 	fresh := filepath.Join(sub, ".tmp-live456")
-	entry := filepath.Join(sub, "cdef.json")
-	for _, p := range []string{old, fresh, entry} {
+	entry := filepath.Join(sub, "000001.seg")
+	for _, p := range []string{old, fresh} {
 		if err := os.WriteFile(p, []byte("x"), 0o644); err != nil {
 			t.Fatal(err)
 		}

@@ -16,9 +16,9 @@ import (
 
 // storeFixture builds one Store backend for the shared conformance
 // suite. corrupt damages the stored entry for key (whose value is val)
-// in whatever way that backend can be damaged — deleting the v1 file,
-// bit-flipping pack segment bytes, tampering the wire body — after
-// which the contract demands a miss, never an error.
+// in whatever way that backend can be damaged — bit-flipping pack
+// segment bytes, tampering the wire body — after which the contract
+// demands a miss, never an error.
 type storeFixture struct {
 	name  string
 	setup func(t *testing.T) (Store, func(t *testing.T, key string, val []byte))
@@ -26,23 +26,6 @@ type storeFixture struct {
 
 func storeFixtures() []storeFixture {
 	return []storeFixture{
-		{
-			name: "dir",
-			setup: func(t *testing.T) (Store, func(*testing.T, string, []byte)) {
-				d, err := OpenDirStore(t.TempDir())
-				if err != nil {
-					t.Fatal(err)
-				}
-				corrupt := func(t *testing.T, key string, _ []byte) {
-					// The v1 store has no checksums; its corruption mode is
-					// an unreadable file, which Get documents as a miss.
-					if err := os.Remove(d.path(key)); err != nil {
-						t.Fatal(err)
-					}
-				}
-				return d, corrupt
-			},
-		},
 		{
 			name: "pack",
 			setup: func(t *testing.T) (Store, func(*testing.T, string, []byte)) {
@@ -136,8 +119,7 @@ func flipValueOnDisk(t *testing.T, dir string, val []byte) {
 }
 
 // TestStoreConformance pins the Store contract every backend must obey
-// — local pack, v1 dir, and the remote HTTP store all behind one
-// table: round-trip, overwrite idempotence, Flush visibility, and
+// — the local pack and the remote HTTP store behind one table: round-trip, overwrite idempotence, Flush visibility, and
 // corruption-is-a-miss (never an error).
 func TestStoreConformance(t *testing.T) {
 	for _, fx := range storeFixtures() {
@@ -645,46 +627,5 @@ func TestStoreHandlerGetKeyCap(t *testing.T) {
 	}
 	if code, _ := post(1, "../etc/passwd\n"); code != http.StatusBadRequest {
 		t.Fatalf("bad key: status %d, want 400", code)
-	}
-}
-
-// TestStoreHandlerSingleKeyRoutes pins the single-key routes HTTPStore no
-// longer uses but older clients and tools do: PUT verifies a CRC header
-// when one is sent, GET returns the value with its CRC, and a miss is 404.
-func TestStoreHandlerSingleKeyRoutes(t *testing.T) {
-	srv := httptest.NewServer(NewStoreHandler(mustPack(t), telemetry.NewRegistry()))
-	defer srv.Close()
-	key, val := testKey(500), []byte("one value")
-	do := func(method, crc string, body []byte) *http.Response {
-		t.Helper()
-		req, err := http.NewRequest(method, srv.URL+"/v1/store/"+key, bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if crc != "" {
-			req.Header.Set(storeCRCHeader, crc)
-		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { resp.Body.Close() })
-		return resp
-	}
-	crc := strconv.FormatUint(uint64(wireCRC(key, val)), 16)
-	if resp := do(http.MethodGet, "", nil); resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("GET before PUT: status %d, want 404", resp.StatusCode)
-	}
-	if resp := do(http.MethodPut, "0", val); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("PUT with a wrong CRC: status %d, want 400", resp.StatusCode)
-	}
-	if resp := do(http.MethodPut, crc, val); resp.StatusCode != http.StatusNoContent {
-		t.Fatalf("PUT: status %d, want 204", resp.StatusCode)
-	}
-	resp := do(http.MethodGet, "", nil)
-	var got bytes.Buffer
-	got.ReadFrom(resp.Body)
-	if resp.StatusCode != http.StatusOK || !bytes.Equal(got.Bytes(), val) || resp.Header.Get(storeCRCHeader) != crc {
-		t.Fatalf("GET: status %d, body %q, CRC %q", resp.StatusCode, got.Bytes(), resp.Header.Get(storeCRCHeader))
 	}
 }

@@ -351,7 +351,7 @@ type window struct {
 }
 
 // fill resolves the window of jobs whose records slots are recs: the
-// sink's resumed records go straight into recs, and one Cache.getMany
+// sink's resumed records go straight into recs, and one Store.GetMany
 // fetches the store values of the rest — one lock or one round trip for
 // the whole window, observed once as pipeline.cache_lookup_ns.
 func (w *window) fill(cfg Config, tel *telemetry.Registry, keys []string, jobs []int, recs []Record) {
@@ -378,7 +378,7 @@ func (w *window) fill(cfg Config, tel *telemetry.Registry, keys []string, jobs [
 		return
 	}
 	lookupStart := time.Now()
-	for k, val := range cfg.Cache.getMany(w.keys) {
+	for k, val := range cfg.Cache.store.GetMany(w.keys) {
 		w.vals[w.at[k]] = val
 	}
 	tel.Histogram("pipeline.cache_lookup_ns").ObserveSince(lookupStart)

@@ -3,12 +3,11 @@ package pipeline
 import "repro/internal/telemetry"
 
 // Store is the persistence seam under the result cache: a flat
-// content-addressed byte store keyed by hex digest strings. Three
+// content-addressed byte store keyed by hex digest strings. Two
 // implementations exist — PackStore (append-only pack segments with
-// group-commit durability, the default), DirStore (one file per key, the
-// v1 layout, kept for compatibility and read-through migration) and
-// HTTPStore (an sfs-serve daemon's store over the wire, the shared
-// fleet-wide cache) — all behind the same Cache facade.
+// group-commit durability, the default) and HTTPStore (an sfs-serve
+// daemon's store over the wire, the shared fleet-wide cache) — both
+// behind the same Cache facade.
 //
 // The pipeline reads through GetMany, one call per window of jobs, so a
 // store pays its per-lookup cost (a lock, a round trip) once per window;
@@ -42,15 +41,15 @@ type Store interface {
 
 // StoreStats summarises a store's contents for -cache-stats and tests.
 type StoreStats struct {
-	// Backend names the implementation ("pack", "dir").
+	// Backend names the implementation: "pack", or "http/" and the
+	// server's backend ("http" alone when the server did not answer).
 	Backend string
 	// Entries is the number of live keys.
 	Entries int
 	// Segments is the number of pack segments (0 for non-segment stores).
 	Segments int
 	// Bytes is the stored payload footprint: for PackStore the bytes of
-	// all segment files (live and superseded entries alike), for
-	// DirStore the summed size of the entry files.
+	// all segment files (live and superseded entries alike).
 	Bytes int64
 }
 

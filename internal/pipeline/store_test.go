@@ -16,16 +16,15 @@ import (
 	"repro/internal/types"
 )
 
-// TestStoreRoundTrip pins the Store contract both backends share:
-// Put-then-Get returns the bytes verbatim (before AND after a Flush),
-// absent keys are plain misses, and overwriting a key is allowed.
+// TestStoreRoundTrip pins the local Store contract: Put-then-Get returns
+// the bytes verbatim (before AND after a Flush), absent keys are plain
+// misses, and overwriting a key is allowed.
 func TestStoreRoundTrip(t *testing.T) {
 	for _, open := range []struct {
 		name string
 		open func(dir string) (Store, error)
 	}{
 		{"pack", func(dir string) (Store, error) { return OpenPackStore(dir) }},
-		{"dir", func(dir string) (Store, error) { return OpenDirStore(dir) }},
 	} {
 		t.Run(open.name, func(t *testing.T) {
 			s, err := open.open(t.TempDir())
@@ -186,75 +185,37 @@ func TestPackConcurrency(t *testing.T) {
 	}
 }
 
-// TestCacheV1ReadThrough pins the migration story: opening a cache over a
-// v1 file-per-key directory serves the old entries (through the DirStore
-// fallback), writes new entries packed, and a pack entry shadows its v1
-// counterpart.
-func TestCacheV1ReadThrough(t *testing.T) {
+// TestCacheIgnoresStaleV1Tree pins what happens to a cache directory
+// that still holds the retired file-per-key fan-out tree: OpenCache reads
+// only dir/pack, so those entries are misses (the cache is lossy by
+// contract — a cold run, never a wrong verdict) and new records land
+// packed.
+func TestCacheIgnoresStaleV1Tree(t *testing.T) {
 	dir := t.TempDir()
-
-	// Seed a v1 layout the way the old cache wrote it.
-	v1, err := OpenDirCache(dir)
-	if err != nil {
+	key := testKey(1)
+	v1 := filepath.Join(dir, key[:2], key[2:]+".json")
+	if err := os.MkdirAll(filepath.Dir(v1), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	oldKey := testKey(1)
-	if err := v1.PutRecord(Record{Key: oldKey, Name: "old", Accepted: true}); err != nil {
+	if err := os.WriteFile(v1, marshalRecord(&Record{Key: key, Name: "old", Accepted: true}), 0o644); err != nil {
 		t.Fatal(err)
 	}
-
 	c, err := OpenCache(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.fallback == nil {
-		t.Fatal("v1 layout not detected")
-	}
-	if rec, ok := c.GetRecord(oldKey); !ok || rec.Name != "old" {
-		t.Fatalf("v1 entry not served read-through: %+v, %v", rec, ok)
-	}
-	newKey := testKey(2)
-	if err := c.PutRecord(Record{Key: newKey, Name: "new", Accepted: true}); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// The new entry landed packed, not as a v1 file.
-	if _, err := os.Stat(filepath.Join(dir, newKey[:2], newKey[2:]+".json")); !os.IsNotExist(err) {
-		t.Fatal("new entry written to the v1 layout")
-	}
-	if _, err := os.Stat(filepath.Join(dir, "pack", "000001.seg")); err != nil {
-		t.Fatalf("no pack segment created: %v", err)
-	}
-
-	// A fresh open still serves both.
-	c2, err := OpenCache(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c2.Close()
-	if rec, ok := c2.GetRecord(oldKey); !ok || rec.Name != "old" {
-		t.Fatal("v1 entry lost after pack writes")
-	}
-	if rec, ok := c2.GetRecord(newKey); !ok || rec.Name != "new" {
-		t.Fatal("packed entry lost")
-	}
-}
-
-// TestCacheFreshDirHasNoFallback pins that a fresh (or pack-only) cache
-// directory skips the DirStore fallback entirely.
-func TestCacheFreshDirHasNoFallback(t *testing.T) {
-	c, err := OpenCache(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
 	defer c.Close()
-	if c.fallback != nil {
-		t.Fatal("fallback store opened for a fresh directory")
+	if rec, ok := c.GetRecord(key); ok {
+		t.Fatalf("v1 entry served: %+v", rec)
 	}
-	if st := c.Stats(); st.Backend != "pack" {
-		t.Fatalf("backend = %q, want pack", st.Backend)
+	if err := c.PutRecord(Record{Key: key, Name: "new", Accepted: true}); err != nil {
+		t.Fatal(err)
+	}
+	if rec, ok := c.GetRecord(key); !ok || rec.Name != "new" {
+		t.Fatalf("packed entry: %+v, %v", rec, ok)
+	}
+	if st := c.Stats(); st.Backend != "pack" || st.Entries != 1 {
+		t.Fatalf("stats = %+v, want one pack entry", st)
 	}
 }
 
@@ -279,84 +240,52 @@ func storeSuiteConfig(t *testing.T, cache *Cache, sink *Sink) Config {
 	}
 }
 
-// TestBackendJSONLParity is the tentpole's acceptance property: the
-// finalized JSONL is byte-identical whether the run used PackStore,
-// DirStore, or a warm v1 cache served read-through into a pack cache.
+// TestBackendJSONLParity pins that the finalized JSONL is byte-identical
+// whether every record was executed (a cold pack cache) or served from
+// the store (the same cache warm).
 func TestBackendJSONLParity(t *testing.T) {
-	run := func(t *testing.T, cache *Cache, jsonl string) []byte {
+	dir := t.TempDir()
+	run := func(t *testing.T, reg *telemetry.Registry) ([]byte, Stats) {
 		t.Helper()
-		sink, err := OpenSink(jsonl, false)
+		cache, err := OpenCache(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := Run(context.Background(), storeSuiteConfig(t, cache, sink)); err != nil {
+		defer cache.Close()
+		sink, err := OpenSink(filepath.Join(t.TempDir(), "run.jsonl"), false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := storeSuiteConfig(t, cache, sink)
+		cfg.Tel = reg
+		_, st, err := Run(context.Background(), cfg)
+		if err != nil {
 			t.Fatal(err)
 		}
 		if err := sink.Finalize(); err != nil {
 			t.Fatal(err)
 		}
-		data, err := os.ReadFile(jsonl)
+		data, err := os.ReadFile(sink.Path())
 		if err != nil {
 			t.Fatal(err)
 		}
-		return data
+		return data, st
 	}
 
-	// Cold pack-backed run.
-	packDir := t.TempDir()
-	packCache, err := OpenCache(packDir)
-	if err != nil {
-		t.Fatal(err)
+	coldOut, cold := run(t, telemetry.NewRegistry())
+	if cold.Executed != cold.Jobs {
+		t.Fatalf("cold run executed %d of %d jobs", cold.Executed, cold.Jobs)
 	}
-	packOut := run(t, packCache, filepath.Join(t.TempDir(), "pack.jsonl"))
-	if err := packCache.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Cold dir-backed (v1) run.
-	dirDir := t.TempDir()
-	dirCache, err := OpenDirCache(dirDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dirOut := run(t, dirCache, filepath.Join(t.TempDir(), "dir.jsonl"))
-
-	if !bytes.Equal(packOut, dirOut) {
-		t.Fatal("finalized JSONL differs between pack and dir backends")
-	}
-
-	// Warm run over the v1 cache through the migrating pack cache: every
-	// job must come from the fallback (executed = 0) and the bytes must
-	// still match.
-	migCache, err := OpenCache(dirDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer migCache.Close()
 	reg := telemetry.NewRegistry()
-	sink, err := OpenSink(filepath.Join(t.TempDir(), "mig.jsonl"), false)
-	if err != nil {
-		t.Fatal(err)
+	warmOut, warm := run(t, reg)
+	if warm.Executed != 0 {
+		t.Fatalf("warm run executed %d jobs, want 0", warm.Executed)
 	}
-	cfg := storeSuiteConfig(t, migCache, sink)
-	cfg.Tel = reg
-	if _, st, err := Run(context.Background(), cfg); err != nil {
-		t.Fatal(err)
-	} else if st.Executed != 0 {
-		t.Fatalf("warm v1 read-through executed %d jobs, want 0", st.Executed)
+	if got := reg.Counter("pipeline.cache_hits").Value(); got != int64(warm.Jobs) {
+		t.Fatalf("warm run: %d cache hits, want %d", got, warm.Jobs)
 	}
-	if err := sink.Finalize(); err != nil {
-		t.Fatal(err)
-	}
-	migOut, err := os.ReadFile(sink.Path())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(packOut, migOut) {
-		t.Fatal("finalized JSONL differs between cold pack run and v1 read-through run")
-	}
-	if reg.Counter("pipeline.cache_hits").Value() == 0 {
-		t.Fatal("read-through run recorded no cache hits")
+	if !bytes.Equal(coldOut, warmOut) {
+		t.Fatal("finalized JSONL differs between the cold and the warm run")
 	}
 }
 

@@ -19,18 +19,15 @@ import (
 //
 // Routes (rooted wherever the handler is mounted):
 //
-//	GET  /v1/store/{key}   value bytes, X-Sfs-Crc32c: crc32c(key‖value)
-//	PUT  /v1/store/{key}   store one value (CRC header verified if sent)
 //	POST /v1/store/get     newline-separated keys (at most 4096) → frames
 //	                       for the hits only, in request order
 //	POST /v1/store/batch   frames to store, then Flush
 //	POST /v1/store/flush   group-commit barrier
 //	GET  /v1/store/stats   StoreStats JSON
 //
-// HTTPStore reads with the batch get; the single-key routes serve other
-// tools and clients that predate it. Frames are the pack entry layout
-// (frame.go). Keys are hex digests (the cache-key contract); anything
-// else is 400, which also keeps path traversal out of the namespace.
+// Frames are the pack entry layout (frame.go), each carrying
+// crc32c(key‖value). Keys are hex digests (the cache-key contract); a
+// request naming any other key is 400.
 type StoreHandler struct {
 	store Store
 	tel   *telemetry.Registry
@@ -41,12 +38,8 @@ func NewStoreHandler(store Store, reg *telemetry.Registry) *StoreHandler {
 	return &StoreHandler{store: store, tel: telemetry.Or(reg)}
 }
 
-// storeCRCHeader carries the crc32c(key‖value) checksum beside a single
-// value on the wire, both ways.
-const storeCRCHeader = "X-Sfs-Crc32c"
-
-// maxStoreValueBytes bounds one uploaded value (and one whole batch);
-// records and generation blobs are far below it.
+// maxStoreValueBytes bounds one uploaded batch and one batch-get
+// response; records and generation blobs are far below it.
 const maxStoreValueBytes = 64 << 20
 
 func (sh *StoreHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -67,10 +60,6 @@ func (sh *StoreHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		sh.batch(w, r)
 	case path == "stats" && r.Method == http.MethodGet:
 		sh.stats(w)
-	case isStoreKey(path) && r.Method == http.MethodGet:
-		sh.get(w, path)
-	case isStoreKey(path) && r.Method == http.MethodPut:
-		sh.put(w, r, path)
 	default:
 		http.Error(w, "bad store path or method", http.StatusBadRequest)
 	}
@@ -89,19 +78,6 @@ func isStoreKey(s string) bool {
 		}
 	}
 	return true
-}
-
-func (sh *StoreHandler) get(w http.ResponseWriter, key string) {
-	sh.tel.Counter("pipeline.store_http_gets").Inc()
-	val, ok := sh.store.Get(key)
-	if !ok {
-		http.Error(w, "miss", http.StatusNotFound)
-		return
-	}
-	w.Header().Set(storeCRCHeader, strconv.FormatUint(uint64(wireCRC(key, val)), 16))
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Length", strconv.Itoa(len(val)))
-	w.Write(val)
 }
 
 // maxGetKeyBytes bounds a batch get's request body: maxGetKeys keys of
@@ -158,31 +134,6 @@ func (sh *StoreHandler) getMany(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("Content-Length", strconv.Itoa(len(resp)))
 	w.Write(resp)
-}
-
-func (sh *StoreHandler) put(w http.ResponseWriter, r *http.Request, key string) {
-	val, err := io.ReadAll(io.LimitReader(r.Body, maxStoreValueBytes+1))
-	if err != nil {
-		http.Error(w, "torn body", http.StatusBadRequest)
-		return
-	}
-	if len(val) > maxStoreValueBytes {
-		http.Error(w, "value too large", http.StatusRequestEntityTooLarge)
-		return
-	}
-	if hdr := r.Header.Get(storeCRCHeader); hdr != "" {
-		want, err := strconv.ParseUint(hdr, 16, 32)
-		if err != nil || wireCRC(key, val) != uint32(want) {
-			http.Error(w, "crc mismatch", http.StatusBadRequest)
-			return
-		}
-	}
-	if err := sh.store.Put(key, val); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	sh.tel.Counter("pipeline.store_http_puts").Inc()
-	w.WriteHeader(http.StatusNoContent)
 }
 
 // batch decodes a sequence of frames, verifies every CRC, stores all

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -345,18 +346,25 @@ func TestSubmitValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
+	bound := fmt.Sprintf("1..%d", maxJobWorkers)
 	for _, tc := range []struct {
 		name string
 		spec serveapi.JobSpec
+		want string // a substring of the error, when it matters
 	}{
-		{"empty fs", serveapi.JobSpec{}},
-		{"host jailed", serveapi.JobSpec{FS: "host"}},
-		{"bad universe", serveapi.JobSpec{FS: "ext4", Universe: "galactic"}},
-		{"bad platform", serveapi.JobSpec{FS: "ext4", Platform: "plan9"}},
-		{"bad script", serveapi.JobSpec{FS: "ext4", Scripts: []string{"not a script"}}},
+		{"empty fs", serveapi.JobSpec{}, ""},
+		{"host jailed", serveapi.JobSpec{FS: "host"}, ""},
+		{"bad universe", serveapi.JobSpec{FS: "ext4", Universe: "galactic"}, ""},
+		{"bad platform", serveapi.JobSpec{FS: "ext4", Platform: "plan9"}, ""},
+		{"bad script", serveapi.JobSpec{FS: "ext4", Scripts: []string{"not a script"}}, ""},
+		{"negative workers", serveapi.JobSpec{FS: "ext4", Workers: -1}, bound},
+		{"too many workers", serveapi.JobSpec{FS: "ext4", Workers: 1000000000}, bound},
 	} {
-		if _, err := srv.Submit(tc.spec); err == nil {
+		_, err := srv.Submit(tc.spec)
+		if err == nil {
 			t.Errorf("%s: accepted", tc.name)
+		} else if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %q does not name %q", tc.name, err, tc.want)
 		}
 	}
 }

@@ -232,8 +232,16 @@ type runPlan struct {
 	inline   []*sibylfs.Script
 }
 
+// maxJobWorkers bounds a job spec's workers: the pipeline starts that
+// many goroutines, and one tenant's job must not exhaust the memory every
+// tenant shares.
+const maxJobWorkers = 256
+
 func (s *Server) plan(spec serveapi.JobSpec) (runPlan, error) {
 	var p runPlan
+	if spec.Workers < 0 || spec.Workers > maxJobWorkers {
+		return p, fmt.Errorf("workers %d out of range (want 0 for the daemon's default, or 1..%d)", spec.Workers, maxJobWorkers)
+	}
 	switch spec.Universe {
 	case "", cliutil.UniverseSequential:
 		p.universe = cliutil.UniverseSequential

@@ -47,7 +47,8 @@ type JobSpec struct {
 	NoPerms bool `json:"noperms,omitempty"`
 	// Sample keeps every Nth script (≤ 1 = all).
 	Sample int `json:"sample,omitempty"`
-	// Workers overrides the daemon's per-job pipeline worker bound.
+	// Workers overrides the daemon's per-job pipeline worker bound
+	// (at most 256; negative is rejected).
 	Workers int `json:"workers,omitempty"`
 	// SchedSeed seeds the deterministic scheduler for the concurrent
 	// universe (0 = free-running).

@@ -50,7 +50,7 @@ type goldenFile struct {
 
 func collectGolden(t *testing.T, config string, traces []*Trace, perTrace bool) *goldenFile {
 	t.Helper()
-	results := Check(DefaultSpec(), traces, 0)
+	results := check(t, New(), traces)
 	g := &goldenFile{Config: config}
 	h := sha256.New()
 	for i, r := range results {
@@ -86,22 +86,14 @@ func collectGolden(t *testing.T, config string, traces []*Trace, perTrace bool) 
 // covering all command groups).
 func goldenTraces(t *testing.T) (conc, seq []*Trace) {
 	t.Helper()
-	concScripts := GenerateConcurrent()
-	var err error
-	conc, err = ExecuteConcurrent(concScripts, MemFS(LinuxProfile("ext4")),
-		ConcurrentOptions{Seeded: true, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	suite := Generate()
+	conc = executeConcurrent(t, New(), generate(t, (*Session).GenerateConcurrent),
+		MemFS(LinuxProfile("ext4")), ConcurrentOptions{Seeded: true, Seed: 1})
+	suite := generate(t, (*Session).Generate)
 	var sel []*Script
 	for i := 0; i < len(suite); i += 7 {
 		sel = append(sel, suite[i])
 	}
-	seq, err = Execute(sel, MemFS(LinuxProfile("ext4")), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	seq = execute(t, New(), sel, MemFS(LinuxProfile("ext4")))
 	return conc, seq
 }
 
@@ -114,10 +106,7 @@ func TestOracleGolden(t *testing.T) {
 	if !testing.Short() {
 		// The full sequential suite: aggregates and the diagnosis digest
 		// only (the per-trace list would dwarf the repo).
-		full, err := Execute(Generate(), MemFS(LinuxProfile("ext4")), 0)
-		if err != nil {
-			t.Fatal(err)
-		}
+		full := execute(t, New(), generate(t, (*Session).Generate), MemFS(LinuxProfile("ext4")))
 		got["seq_full"] = collectGolden(t, "seq_full", full, false)
 	}
 	path := filepath.Join("testdata", "oracle_golden.json")

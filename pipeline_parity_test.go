@@ -9,12 +9,15 @@ package sibylfs
 // cache-hit run and bare sfs-check can never disagree.
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/pipeline"
 )
 
 func pipelineGolden(t *testing.T, name string, cfg PipelineConfig) {
@@ -32,7 +35,7 @@ func pipelineGolden(t *testing.T, name string, cfg PipelineConfig) {
 		t.Fatalf("no golden record %q", name)
 	}
 
-	records, stats, err := RunPipeline(cfg)
+	records, stats, err := pipeline.Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +65,7 @@ func pipelineGolden(t *testing.T, name string, cfg PipelineConfig) {
 }
 
 func TestPipelineGoldenParity(t *testing.T) {
-	suite := Generate()
+	suite := generate(t, (*Session).Generate)
 	var sel []*Script
 	for i := 0; i < len(suite); i += 7 {
 		sel = append(sel, suite[i])
@@ -83,7 +86,7 @@ func TestPipelineGoldenParity(t *testing.T) {
 // memoised run pins. A divergence here means the memo replayed a fan-out
 // it had no right to reuse.
 func TestPipelineGoldenParityNoSharedCons(t *testing.T) {
-	suite := Generate()
+	suite := generate(t, (*Session).Generate)
 	var sel []*Script
 	for i := 0; i < len(suite); i += 7 {
 		sel = append(sel, suite[i])
@@ -101,7 +104,7 @@ func TestPipelineGoldenParityNoSharedCons(t *testing.T) {
 func TestPipelineGoldenParityConcurrent(t *testing.T) {
 	pipelineGolden(t, "conc_seed1", PipelineConfig{
 		Name:       "conc_seed1",
-		Scripts:    GenerateConcurrent(),
+		Scripts:    generate(t, (*Session).GenerateConcurrent),
 		Factory:    MemFS(LinuxProfile("ext4")),
 		FSName:     "ext4",
 		Spec:       DefaultSpec(),

@@ -18,11 +18,8 @@ func TestRandomDifferentialMemfs(t *testing.T) {
 		n = 80
 	}
 	scripts := testgen.RandomScripts(1, n, 25)
-	traces, err := Execute(scripts, MemFS(LinuxProfile("ext4")), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	results := Check(DefaultSpec(), traces, 0)
+	traces := execute(t, New(), scripts, MemFS(LinuxProfile("ext4")))
+	results := check(t, New(), traces)
 	for i, r := range results {
 		if !r.Accepted {
 			t.Errorf("random script deviates — model or memfs bug:\n%s\n%s",
@@ -40,11 +37,8 @@ func TestRandomDifferentialSpecFS(t *testing.T) {
 		n = 40
 	}
 	scripts := testgen.RandomScripts(2, n, 20)
-	traces, err := Execute(scripts, SpecFS("specfs", DefaultSpec()), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	results := Check(DefaultSpec(), traces, 0)
+	traces := execute(t, New(), scripts, SpecFS("specfs", DefaultSpec()))
+	results := check(t, New(), traces)
 	for i, r := range results {
 		if !r.Accepted {
 			t.Errorf("determinized model outside its own envelope:\n%s\n%s",
@@ -61,11 +55,8 @@ func TestRandomDifferentialHost(t *testing.T) {
 		t.Skip("host run")
 	}
 	scripts := FilterHostSafe(testgen.RandomScripts(3, 200, 20))
-	traces, err := Execute(scripts, HostFS("host"), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	results := Check(DefaultSpec(), traces, 0)
+	traces := execute(t, New(WithWorkers(1)), scripts, HostFS("host"))
+	results := check(t, New(), traces)
 	bad := 0
 	for i, r := range results {
 		if !r.Accepted {

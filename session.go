@@ -115,18 +115,15 @@ func WithMaxStateSet(n int) Option { return func(s *Session) { s.maxStateSet = n
 // WithCacheDir backs Run, Survey and Fuzz with a content-addressed result
 // cache rooted at dir: re-runs skip any trace whose (script, model
 // version, run config) key is already cached. The directory is created on
-// first use. The default backend is the packed segment store (entries
-// append to a few bounded pack files under dir/pack, with group-commit
-// durability); a dir that already holds the v1 file-per-key layout keeps
-// serving those entries read-through while new results land packed.
+// first use. The backend is the packed segment store: entries append to
+// a few bounded pack files under dir/pack, with group-commit durability.
 func WithCacheDir(dir string) Option { return func(s *Session) { s.cacheDir = dir } }
 
 // WithStore backs the session's result cache with an explicit store
 // backend instead of opening one from a directory — the injection seam
-// for a forced v1 DirStore (sfs-run -store dir), tuned PackOptions, or a
-// future remote store. Takes precedence over WithCacheDir; the session
-// owns flushing (it flushes at run and generation boundaries) but the
-// caller owns Close.
+// for tuned PackOptions or a store of the caller's own. Takes precedence
+// over WithCacheDir; the session owns flushing (it flushes at run and
+// generation boundaries) but the caller owns Close.
 func WithStore(store ResultStore) Option { return func(s *Session) { s.store = store } }
 
 // WithJournal streams Run's records to the JSONL sink at path. The sink
@@ -237,16 +234,6 @@ func (s *Session) CacheStats() (StoreStats, bool) {
 		return StoreStats{}, false
 	}
 	return cache.Stats(), true
-}
-
-// CacheFallbackStats describes the v1 read-through fallback feeding a
-// migrating cache; ok is false when there is no cache or no v1 layout.
-func (s *Session) CacheFallbackStats() (StoreStats, bool) {
-	cache, err := s.openCache()
-	if err != nil || cache == nil {
-		return StoreStats{}, false
-	}
-	return cache.FallbackStats()
 }
 
 // Generate builds the full sequential test suite (§6.1). With WithCacheDir
@@ -767,9 +754,6 @@ func (s *Session) ResetCoverage() {
 	}
 	cov.Reset()
 }
-
-// defaultSession backs the deprecated package-level functions.
-var defaultSession = New()
 
 // surveySinkName maps a configuration name to its JSONL file name.
 func surveySinkName(config string) string {

@@ -1,10 +1,7 @@
 package sibylfs
 
-// Session facade tests: parity with the legacy free-function path,
-// cooperative cancellation with a resumable journal, and per-session
-// coverage-registry isolation. The golden-parity test is the acceptance
-// gate for the API redesign — the Session pipeline must be byte-identical
-// to the legacy RunPipeline path against the recorded oracle fixtures.
+// Session facade tests: golden parity, cooperative cancellation with a
+// resumable journal, and per-session coverage-registry isolation.
 
 import (
 	"bytes"
@@ -21,29 +18,14 @@ import (
 	"time"
 )
 
-// TestSessionGoldenParity drives the same seq_slice7 suite once through
-// the deprecated RunPipeline free function and once through Session.Run,
-// and requires byte-identical records — then pins both against the golden
-// oracle fixtures recorded with the pre-refactor engine.
+// TestSessionGoldenParity drives the seq_slice7 suite through Session.Run
+// and pins its records against the golden oracle fixtures recorded with
+// the pre-refactor engine.
 func TestSessionGoldenParity(t *testing.T) {
-	suite := Generate()
+	suite := generate(t, (*Session).Generate)
 	var sel []*Script
 	for i := 0; i < len(suite); i += 7 {
 		sel = append(sel, suite[i])
-	}
-
-	legacy, legacyStats, err := RunPipeline(PipelineConfig{
-		Name:    "seq_slice7",
-		Scripts: sel,
-		Factory: MemFS(LinuxProfile("ext4")),
-		FSName:  "ext4",
-		Spec:    DefaultSpec(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if legacyStats.Executed != len(sel) {
-		t.Fatalf("legacy run not cold: %s", legacyStats)
 	}
 
 	session := New(WithSpec(DefaultSpec()))
@@ -59,25 +41,7 @@ func TestSessionGoldenParity(t *testing.T) {
 	if stats.Executed != len(sel) {
 		t.Fatalf("session run not cold: %s", stats)
 	}
-	if len(records) != len(legacy) {
-		t.Fatalf("session produced %d records, legacy %d", len(records), len(legacy))
-	}
-	for i := range records {
-		a, err := json.Marshal(records[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := json.Marshal(legacy[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(a, b) {
-			t.Fatalf("record %d (%s) differs between Session and legacy paths:\n%s\n%s",
-				i, records[i].Name, a, b)
-		}
-	}
 
-	// Both paths agree; now pin them to the golden fixture.
 	data, err := os.ReadFile(filepath.Join("testdata", "oracle_golden.json"))
 	if err != nil {
 		t.Fatalf("missing golden fixtures: %v", err)
@@ -103,7 +67,7 @@ func TestSessionGoldenParity(t *testing.T) {
 // enough to span several worker dispatches.
 func smallSuite(t *testing.T, n int) []*Script {
 	t.Helper()
-	suite := Generate()
+	suite := generate(t, (*Session).Generate)
 	if len(suite) < n*50 {
 		t.Fatalf("suite unexpectedly small: %d", len(suite))
 	}
@@ -221,31 +185,6 @@ func TestSessionRunPreCancelled(t *testing.T) {
 	}
 	if _, err := os.Stat(journal); err != nil {
 		t.Fatalf("journal missing after pre-cancelled run: %v", err)
-	}
-}
-
-// TestSessionCheckParity: Session.Check must agree exactly with the
-// legacy Check free function.
-func TestSessionCheckParity(t *testing.T) {
-	scripts := smallSuite(t, 20)
-	traces, err := New().Execute(context.Background(), scripts, MemFS(LinuxProfile("ext4")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacy := Check(DefaultSpec(), traces, 4)
-	session, err := New(WithSpec(DefaultSpec()), WithWorkers(4)).Check(context.Background(), traces)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range legacy {
-		// TauNanos is wall-clock telemetry — never equal across two runs
-		// and not part of the parity contract.
-		legacy[i].TauNanos, session[i].TauNanos = 0, 0
-		a, _ := json.Marshal(legacy[i])
-		b, _ := json.Marshal(session[i])
-		if !bytes.Equal(a, b) {
-			t.Fatalf("trace %s: session result differs from legacy:\n%s\n%s", traces[i].Name, b, a)
-		}
 	}
 }
 

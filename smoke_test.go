@@ -25,11 +25,8 @@ rename "emptydir" "nonemptydir"
 		SpecFS("spec", DefaultSpec()),
 		MemFS(LinuxProfile("ext4")),
 	} {
-		tr, err := ExecuteOne(s, factory)
-		if err != nil {
-			t.Fatalf("exec: %v", err)
-		}
-		r := CheckOne(DefaultSpec(), tr)
+		tr := execute(t, New(), []*Script{s}, factory)[0]
+		r := checkOne(t, DefaultSpec(), tr)
 		if !r.Accepted {
 			t.Errorf("trace not accepted:\n%s", RenderChecked(tr, r))
 		}
@@ -55,7 +52,7 @@ func TestSmokeSSHFSRenameEPERM(t *testing.T) {
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	r := CheckOne(DefaultSpec(), tr)
+	r := checkOne(t, DefaultSpec(), tr)
 	if r.Accepted {
 		t.Fatalf("EPERM rename should be rejected")
 	}
@@ -72,7 +69,7 @@ func TestSmokeSSHFSRenameEPERM(t *testing.T) {
 // TestSmokeSuiteSample executes a slice of the generated suite on the
 // conforming Linux memfs and checks acceptance.
 func TestSmokeSuiteSample(t *testing.T) {
-	suite := Generate()
+	suite := generate(t, (*Session).Generate)
 	if len(suite) < 1000 {
 		t.Fatalf("suite too small: %d", len(suite))
 	}
@@ -80,11 +77,8 @@ func TestSmokeSuiteSample(t *testing.T) {
 	for i := 0; i < len(suite); i += 97 {
 		sample = append(sample, suite[i])
 	}
-	traces, err := Execute(sample, MemFS(fsimpl.LinuxProfile("ext4")), 0)
-	if err != nil {
-		t.Fatalf("execute: %v", err)
-	}
-	results := Check(DefaultSpec(), traces, 0)
+	traces := execute(t, New(), sample, MemFS(fsimpl.LinuxProfile("ext4")))
+	results := check(t, New(), traces)
 	bad := 0
 	for i, r := range results {
 		if !r.Accepted {

@@ -6,7 +6,7 @@ package sibylfs
 // profile against the same model variant — so the per-(profile, platform)
 // run summaries are memoised. The full generated suite is deliberately NOT
 // cached: keeping 21k scripts live inflates every GC mark cycle and
-// measurably slows the fingerprint-heavy checker; Generate() itself costs
+// measurably slows the fingerprint-heavy checker; generating it costs
 // only ~0.1s per call.
 
 import (
@@ -62,11 +62,8 @@ func runSurveyScripts(t *testing.T, profName string, spec Spec) *analysis.RunSum
 	if !found {
 		t.Fatalf("profile %q missing", profName)
 	}
-	traces, err := Execute(testSurveyScripts(), MemFS(prof), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	results := Check(spec, traces, 0)
+	traces := execute(t, New(), testSurveyScripts(), MemFS(prof))
+	results := check(t, New(WithSpec(spec)), traces)
 	s := analysis.Summarise(profName, traces, results)
 	surveyRunCache.runs[key] = s
 	return s
